@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
     config.threaded = true;
     resilience::WorldSupervisorOptions options;
     options.checkpoint_every_windows = 64;
-    options.on_checkpoint = [&](const resilience::WorldSnapshot& snapshot) {
+    options.on_checkpoint = [&](const resilience::Checkpoint& snapshot) {
       const auto t0 = std::chrono::steady_clock::now();
       std::vector<std::uint8_t> bytes;
       snapshot.Serialize(bytes);

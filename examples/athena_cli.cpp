@@ -63,9 +63,13 @@
 //     --checkpoint-every=MS             snapshot the session every MS of
 //                                       virtual time (resilient mode)
 //     --checkpoint-out=FILE             spill the latest checkpoint to FILE
+//                                       (sessions and worlds share one
+//                                       ATHCKPT format)
 //     --restore=FILE                    resume from a checkpoint file; the
 //                                       replayed state is digest-verified
-//                                       before the run continues
+//                                       before the run continues (in world
+//                                       mode: at the snapshot's window,
+//                                       mailbox witness included)
 //     --mem-budget=BYTES                overload governor: bound the
 //                                       correlator input, shedding
 //                                       lowest-priority records first
@@ -109,8 +113,6 @@
 //     --world-checkpoint-every=K        snapshot the whole world every K
 //                                       window boundaries (default 64 in
 //                                       supervised mode)
-//     --world-checkpoint-out=FILE       spill the latest world snapshot
-//                                       to FILE (ATHWSNP format)
 //     --world-kill-shard=S              supervised mode: shard S's worker
 //                                       dies once; the supervisor restores
 //                                       from the latest snapshot and the
@@ -123,10 +125,6 @@
 //                                       (1) is exhausted — the supervisor
 //                                       quarantines the cell and evacuates
 //                                       its UEs
-//     --world-restore=FILE              resume a world from a snapshot
-//                                       file; the replay is digest-verified
-//                                       at the snapshot's window before
-//                                       the run continues
 //     --fleet-baseline=FILE             stored baseline report to gate
 //                                       against
 //     --fleet-gate                      with --chaos/--sweep: after the run,
@@ -251,16 +249,14 @@ struct Options {
 
   // --- world resilience (src/resilience/world_*) ---
   std::uint64_t world_checkpoint_every = 64;  ///< snapshot cadence (windows)
-  std::string world_checkpoint_out;           ///< latest-snapshot spill file
   std::size_t world_kill_shard = world::WorldConfig::kNoCrash;
   std::uint64_t world_kill_window = 0;  ///< 0 = derived from the seed
   std::size_t world_kill_cell = world::WorldConfig::kNoCrash;  ///< blame cell
-  std::string world_restore;            ///< resume from this snapshot
 
   [[nodiscard]] bool world() const { return world_ues > 0; }
   [[nodiscard]] bool world_supervised() const {
     return world_kill_shard != world::WorldConfig::kNoCrash ||
-           !world_restore.empty() || !world_checkpoint_out.empty();
+           !restore_path.empty() || !checkpoint_out.empty();
   }
 };
 
@@ -354,16 +350,12 @@ Options Parse(int argc, char** argv) {
       opt.world_chaos = true;
     } else if (ParseFlag(arg, "world-checkpoint-every", &value)) {
       opt.world_checkpoint_every = std::stoull(value);
-    } else if (ParseFlag(arg, "world-checkpoint-out", &value)) {
-      opt.world_checkpoint_out = value;
     } else if (ParseFlag(arg, "world-kill-shard", &value)) {
       opt.world_kill_shard = std::stoul(value);
     } else if (ParseFlag(arg, "world-kill-window", &value)) {
       opt.world_kill_window = std::stoull(value);
     } else if (ParseFlag(arg, "world-kill-cell", &value)) {
       opt.world_kill_cell = std::stoul(value);
-    } else if (ParseFlag(arg, "world-restore", &value)) {
-      opt.world_restore = value;
     } else if (arg == "--fleet-gate") {
       opt.fleet_gate = true;
     } else if (arg == "--supervise") {
@@ -394,9 +386,9 @@ Options Parse(int argc, char** argv) {
                    "[--world-ues=N] [--world-cells=C] [--world-shards=S] "
                    "[--world-handover=K] [--world-mode=threads|seq] "
                    "[--world-crosscheck] [--world-chaos] "
-                   "[--world-checkpoint-every=K] [--world-checkpoint-out=FILE] "
+                   "[--world-checkpoint-every=K] "
                    "[--world-kill-shard=S] [--world-kill-window=W] "
-                   "[--world-kill-cell=C] [--world-restore=FILE]\n";
+                   "[--world-kill-cell=C]\n";
       std::exit(0);
     } else {
       std::cerr << "unknown argument: " << arg << " (try --help)\n";
@@ -827,8 +819,7 @@ int RunResilient(const Options& opt) {
   if (!opt.restore_path.empty()) {
     start = resilience::Checkpoint::LoadFile(opt.restore_path);
     std::cout << "loaded checkpoint " << opt.restore_path << " @ "
-              << start->virtual_time.ms() << " ms (" << start->events_executed
-              << " events)\n";
+              << start->virtual_time.ms() << " ms\n";
   }
 
   resilience::RunOutcome outcome;
@@ -947,9 +938,9 @@ int RunWorld(const Options& opt) {
     options.on_event = [](const std::string& m) {
       std::cout << "[world-supervisor] " << m << '\n';
     };
-    if (!opt.world_checkpoint_out.empty()) {
-      options.on_checkpoint = [&opt](const resilience::WorldSnapshot& snapshot) {
-        snapshot.WriteFile(opt.world_checkpoint_out);
+    if (!opt.checkpoint_out.empty()) {
+      options.on_checkpoint = [&opt](const resilience::Checkpoint& snapshot) {
+        snapshot.WriteFile(opt.checkpoint_out);
       };
     }
 
@@ -965,14 +956,15 @@ int RunWorld(const Options& opt) {
       options.max_restarts = 4;
     }
 
-    resilience::WorldSupervisor supervisor{BuildWorldConfig(opt), options};
+    const world::WorldConfig config = BuildWorldConfig(opt);
+    resilience::WorldSupervisor supervisor{config, options};
     resilience::WorldSupervisedOutcome outcome;
-    if (!opt.world_restore.empty()) {
-      const resilience::WorldSnapshot start =
-          resilience::WorldSnapshot::LoadFile(opt.world_restore);
-      std::cout << "loaded world snapshot " << opt.world_restore << " @ window "
-                << start.window << "/" << start.windows_total << " ("
-                << start.mailbox.size() << " pending message(s))\n";
+    if (!opt.restore_path.empty()) {
+      const resilience::Checkpoint start =
+          resilience::Checkpoint::LoadFile(opt.restore_path);
+      const std::uint64_t window = resilience::SnapshotWindow(config, start);
+      std::cout << "loaded world snapshot " << opt.restore_path << " @ window "
+                << window << " (" << start.mailbox.size() << " pending message(s))\n";
       outcome = supervisor.RunFrom(start, faults);
     } else {
       outcome = supervisor.Run(faults);

@@ -68,7 +68,7 @@ void StateDigest::Mix(const core::CorrelatorInput& input) {
   Mix(input.receiver);
 }
 
-std::uint64_t ConfigFingerprint(const app::SessionConfig& config) {
+std::uint64_t ConfigFingerprint(const app::SessionConfig& config, sim::Duration duration) {
   // A drift detector, not a cryptographic identity: covers every scalar
   // knob that shapes the run. Functional overrides (grant_policy,
   // controller_factory) cannot be fingerprinted — restoring a checkpoint
@@ -107,6 +107,7 @@ std::uint64_t ConfigFingerprint(const app::SessionConfig& config) {
   d.Mix(static_cast<std::uint64_t>(config.sender_clock_offset.count()));
   d.Mix(static_cast<std::uint64_t>(config.receiver_clock_offset.count()));
   d.Mix(static_cast<std::uint64_t>(config.sender_clock_drift_ppm * 1e3));
+  d.Mix(static_cast<std::uint64_t>(duration.count()));
   return d.value();
 }
 
@@ -116,9 +117,12 @@ std::uint64_t ConfigFingerprint(const app::SessionConfig& config) {
 //
 //   [0..8)    magic "ATHCKPT\n"
 //   [8..12)   u32 version
-//   [12..16)  u32 reserved (0)
-//   ...       header fields (fixed-width little-endian)
-//   ...       record payload (telemetry, sender, core, receiver)
+//   [12..20)  u64 config fingerprint
+//   [20..28)  u64 seed
+//   [28..36)  i64 virtual time (µs)
+//   [36..44)  u64 state digest
+//   [44..52)  u64 mailbox record count
+//   ...       mailbox records (41 bytes each)
 //   [-8..)    u64 FNV-1a checksum over every preceding byte
 //
 // All integers are written little-endian byte-by-byte, so the file is
@@ -127,13 +131,14 @@ std::uint64_t ConfigFingerprint(const app::SessionConfig& config) {
 namespace {
 
 constexpr char kMagic[8] = {'A', 'T', 'H', 'C', 'K', 'P', 'T', '\n'};
+constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 4 + 5 * 8;
+constexpr std::size_t kRecordBytes = 1 + 4 + 4 + 8 + 8 + 4 + 4 + 8;
 
 class Writer {
  public:
   explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
 
   void U8(std::uint8_t v) { out_.push_back(v); }
-  void U16(std::uint16_t v) { Le(v, 2); }
   void U32(std::uint32_t v) { Le(v, 4); }
   void U64(std::uint64_t v) { Le(v, 8); }
   void I64(std::int64_t v) { Le(static_cast<std::uint64_t>(v), 8); }
@@ -149,11 +154,9 @@ class Reader {
  public:
   Reader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
 
-  [[nodiscard]] std::size_t pos() const { return pos_; }
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
 
   std::uint8_t U8() { return static_cast<std::uint8_t>(Le(1)); }
-  std::uint16_t U16() { return static_cast<std::uint16_t>(Le(2)); }
   std::uint32_t U32() { return static_cast<std::uint32_t>(Le(4)); }
   std::uint64_t U64() { return Le(8); }
   std::int64_t I64() { return static_cast<std::int64_t>(Le(8)); }
@@ -184,133 +187,47 @@ std::uint64_t FnvOver(const std::uint8_t* data, std::size_t size) {
   return h;
 }
 
-void WriteTb(Writer& w, const ran::TbRecord& r) {
-  w.U64(r.tb_id);
-  w.U64(r.chain_id);
-  w.I64(r.slot_time.us());
-  w.U8(static_cast<std::uint8_t>(r.grant));
-  w.U32(r.tbs_bytes);
-  w.U32(r.used_bytes);
-  w.U8(r.harq_round);
-  w.U8(r.crc_ok ? 1 : 0);
-}
-
-ran::TbRecord ReadTb(Reader& r) {
-  ran::TbRecord tb;
-  tb.tb_id = r.U64();
-  tb.chain_id = r.U64();
-  tb.slot_time = sim::TimePoint{sim::Duration{r.I64()}};
-  tb.grant = static_cast<ran::GrantType>(r.U8());
-  tb.tbs_bytes = r.U32();
-  tb.used_bytes = r.U32();
-  tb.harq_round = r.U8();
-  tb.crc_ok = r.U8() != 0;
-  return tb;
-}
-
-void WriteCapture(Writer& w, const net::CaptureRecord& r) {
-  w.U64(r.packet_id);
-  w.I64(r.local_ts.us());
-  w.I64(r.true_ts.us());
-  w.U8(static_cast<std::uint8_t>(r.kind));
-  w.U32(r.size_bytes);
-  w.U32(r.flow);
-  w.U8(r.rtp.has_value() ? 1 : 0);
-  if (r.rtp.has_value()) {
-    w.U32(r.rtp->ssrc);
-    w.U16(r.rtp->seq);
-    w.U32(r.rtp->media_ts);
-    w.U8(r.rtp->marker ? 1 : 0);
-    w.U8(static_cast<std::uint8_t>(r.rtp->layer));
-    w.U64(r.rtp->frame_id);
-    w.U16(r.rtp->transport_seq);
-    w.U32(r.rtp->packets_in_frame);
-    w.U32(r.rtp->packet_index_in_frame);
-  }
-  w.U8(r.icmp.has_value() ? 1 : 0);
-  if (r.icmp.has_value()) {
-    w.U32(r.icmp->probe_seq);
-    w.I64(r.icmp->echo_sent_at.us());
-  }
-}
-
-net::CaptureRecord ReadCapture(Reader& r) {
-  net::CaptureRecord c;
-  c.packet_id = r.U64();
-  c.local_ts = sim::TimePoint{sim::Duration{r.I64()}};
-  c.true_ts = sim::TimePoint{sim::Duration{r.I64()}};
-  c.kind = static_cast<net::PacketKind>(r.U8());
-  c.size_bytes = r.U32();
-  c.flow = r.U32();
-  if (r.U8() != 0) {
-    net::RtpMeta rtp;
-    rtp.ssrc = r.U32();
-    rtp.seq = r.U16();
-    rtp.media_ts = r.U32();
-    rtp.marker = r.U8() != 0;
-    rtp.layer = static_cast<net::SvcLayer>(r.U8());
-    rtp.frame_id = r.U64();
-    rtp.transport_seq = r.U16();
-    rtp.packets_in_frame = r.U32();
-    rtp.packet_index_in_frame = r.U32();
-    c.rtp = rtp;
-  }
-  if (r.U8() != 0) {
-    net::IcmpMeta icmp;
-    icmp.probe_seq = r.U32();
-    icmp.echo_sent_at = sim::TimePoint{sim::Duration{r.I64()}};
-    c.icmp = icmp;
-  }
-  return c;
-}
-
 }  // namespace
 
 void Checkpoint::Serialize(std::vector<std::uint8_t>& out) const {
   out.clear();
+  out.reserve(SerializedBytes());
   Writer w{out};
-  for (const char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
+  for (const char c : kMagic) w.U8(static_cast<std::uint8_t>(c));
   w.U32(kVersion);
-  w.U32(0);  // reserved
   w.U64(config_fingerprint);
   w.U64(seed);
-  w.I64(planned_duration.count());
   w.I64(virtual_time.us());
-  w.U64(events_executed);
   w.U64(state_digest);
-  w.I64(input.sender_offset.count());
-  w.I64(input.receiver_offset.count());
-  w.U64(input.telemetry.size());
-  w.U64(input.sender.size());
-  w.U64(input.core.size());
-  w.U64(input.receiver.size());
-  for (const auto& r : input.telemetry) WriteTb(w, r);
-  for (const auto* stream : {&input.sender, &input.core, &input.receiver}) {
-    for (const auto& r : *stream) WriteCapture(w, r);
+  w.U64(mailbox.size());
+  for (const world::WorldMsgRecord& r : mailbox) {
+    w.U8(r.kind);
+    w.U32(r.src);
+    w.U32(r.dst);
+    w.U64(r.seq);
+    w.I64(r.arrival_us);
+    w.U32(r.ue);
+    w.U32(r.target_cell);
+    w.U64(r.payload_digest);
   }
   w.U64(FnvOver(out.data(), out.size()));
 }
 
 std::size_t Checkpoint::SerializedBytes() const {
-  // Header 112 B + trailer 8 B + per-record payload (capture records vary
-  // with their optional metadata; computed exactly by Serialize).
-  std::vector<std::uint8_t> buf;
-  Serialize(buf);
-  return buf.size();
+  return kHeaderBytes + mailbox.size() * kRecordBytes + 8;
 }
 
 Checkpoint Checkpoint::Deserialize(const std::uint8_t* data, std::size_t size) {
-  if (size < sizeof(kMagic) + 8) {
+  if (size < kHeaderBytes + 8) {
     throw CheckpointError("checkpoint truncated: " + std::to_string(size) +
                           " bytes is smaller than the minimal header");
   }
   if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
     throw CheckpointError("not a checkpoint: bad magic (expected ATHCKPT)");
   }
-  // Trailer first: any corruption anywhere — header or payload — must be
+  // Trailer first: any corruption anywhere — header or records — must be
   // caught before a single field is trusted.
-  const std::uint64_t stored_checksum =
-      Reader{data + size - 8, 8}.U64();
+  const std::uint64_t stored_checksum = Reader{data + size - 8, 8}.U64();
   const std::uint64_t computed_checksum = FnvOver(data, size - 8);
   if (stored_checksum != computed_checksum) {
     std::ostringstream os;
@@ -319,57 +236,40 @@ Checkpoint Checkpoint::Deserialize(const std::uint8_t* data, std::size_t size) {
     throw CheckpointError(os.str());
   }
 
-  Reader r{data, size - 8};
-  for (std::size_t i = 0; i < sizeof(kMagic); ++i) (void)r.U8();
+  Reader r{data + sizeof(kMagic), size - sizeof(kMagic) - 8};
   const std::uint32_t version = r.U32();
   if (version != kVersion) {
     throw CheckpointError("unsupported checkpoint version " + std::to_string(version) +
                           " (this build reads version " + std::to_string(kVersion) + ")");
   }
-  (void)r.U32();  // reserved
 
   Checkpoint c;
   c.config_fingerprint = r.U64();
   c.seed = r.U64();
-  c.planned_duration = sim::Duration{r.I64()};
   c.virtual_time = sim::TimePoint{sim::Duration{r.I64()}};
-  c.events_executed = r.U64();
   c.state_digest = r.U64();
-  c.input.sender_offset = sim::Duration{r.I64()};
-  c.input.receiver_offset = sim::Duration{r.I64()};
-  const std::uint64_t n_telemetry = r.U64();
-  const std::uint64_t n_sender = r.U64();
-  const std::uint64_t n_core = r.U64();
-  const std::uint64_t n_receiver = r.U64();
-  // Counts are attacker-controlled until proven payload-backed: a TB is
-  // ≥ 28 payload bytes, so reject counts the remaining bytes cannot hold
-  // instead of reserving gigabytes on a lying header.
-  const std::uint64_t total_records = n_telemetry + n_sender + n_core + n_receiver;
-  if (total_records > r.remaining()) {
-    throw CheckpointError("checkpoint corrupted: header claims " +
-                          std::to_string(total_records) +
-                          " records but only " + std::to_string(r.remaining()) +
-                          " payload bytes remain");
+  // The count is attacker-controlled until proven payload-backed: divide
+  // rather than multiply, so a huge count cannot wrap into a small
+  // product and reach reserve().
+  const std::uint64_t count = r.U64();
+  if (count > r.remaining() / kRecordBytes || count * kRecordBytes != r.remaining()) {
+    throw CheckpointError("checkpoint corrupted: header declares " + std::to_string(count) +
+                          " mailbox records but " + std::to_string(r.remaining()) +
+                          " payload bytes remain (" + std::to_string(kRecordBytes) +
+                          " per record)");
   }
-  c.input.telemetry.reserve(n_telemetry);
-  for (std::uint64_t i = 0; i < n_telemetry; ++i) c.input.telemetry.push_back(ReadTb(r));
-  for (auto* stream : {&c.input.sender, &c.input.core, &c.input.receiver}) {
-    const std::uint64_t n = stream == &c.input.sender ? n_sender
-                            : stream == &c.input.core ? n_core
-                                                      : n_receiver;
-    stream->reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) stream->push_back(ReadCapture(r));
-  }
-  if (r.remaining() != 0) {
-    throw CheckpointError("checkpoint corrupted: " + std::to_string(r.remaining()) +
-                          " trailing bytes after the last record");
-  }
-
-  // Self-check: the stored digest must match the stored records.
-  StateDigest digest;
-  digest.Mix(c.input);
-  if (digest.value() != c.state_digest) {
-    throw CheckpointError("checkpoint corrupted: state digest does not match payload");
+  c.mailbox.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    world::WorldMsgRecord rec;
+    rec.kind = r.U8();
+    rec.src = r.U32();
+    rec.dst = r.U32();
+    rec.seq = r.U64();
+    rec.arrival_us = r.I64();
+    rec.ue = r.U32();
+    rec.target_cell = r.U32();
+    rec.payload_digest = r.U64();
+    c.mailbox.push_back(rec);
   }
   return c;
 }
@@ -396,18 +296,23 @@ Checkpoint Checkpoint::LoadFile(const std::string& path) {
 // Checkpointing driver
 // ---------------------------------------------------------------------------
 
+namespace {
+
+std::uint64_t InputDigest(const app::Session& session) {
+  StateDigest digest;
+  digest.Mix(session.BuildCorrelatorInput());
+  return digest.value();
+}
+
+}  // namespace
+
 Checkpoint SnapshotSession(const sim::Simulator& sim, const app::Session& session,
                            const RunPlan& plan) {
   Checkpoint c;
-  c.config_fingerprint = ConfigFingerprint(plan.config);
+  c.config_fingerprint = ConfigFingerprint(plan.config, plan.duration);
   c.seed = plan.config.seed;
-  c.planned_duration = plan.duration;
   c.virtual_time = sim.Now();
-  c.events_executed = sim.events_executed();
-  c.input = session.BuildCorrelatorInput();
-  StateDigest digest;
-  digest.Mix(c.input);
-  c.state_digest = digest.value();
+  c.state_digest = InputDigest(session);
   return c;
 }
 
@@ -416,52 +321,21 @@ CheckpointingDriver::CheckpointingDriver(RunPlan plan) : plan_(std::move(plan)) 
 RunOutcome CheckpointingDriver::Run() { return Drive(nullptr); }
 
 RunOutcome CheckpointingDriver::Resume(const Checkpoint& ckpt) {
-  if (ckpt.config_fingerprint != ConfigFingerprint(plan_.config)) {
+  if (ckpt.config_fingerprint != ConfigFingerprint(plan_.config, plan_.duration)) {
     throw CheckpointError(
-        "checkpoint was taken under a different session configuration "
-        "(fingerprint mismatch); restoring would silently diverge");
+        "checkpoint was taken under a different session configuration or "
+        "planned duration (fingerprint mismatch); restoring would silently diverge");
   }
   if (ckpt.seed != plan_.config.seed) {
     throw CheckpointError("checkpoint seed " + std::to_string(ckpt.seed) +
                           " does not match the plan's seed " +
                           std::to_string(plan_.config.seed));
   }
-  if (ckpt.planned_duration != plan_.duration) {
-    throw CheckpointError("checkpoint was taken for a different planned duration");
-  }
   if (ckpt.virtual_time > sim::kEpoch + plan_.duration) {
     throw CheckpointError("checkpoint lies beyond the planned duration");
   }
   return Drive(&ckpt);
 }
-
-namespace {
-
-/// First index where the replayed telemetry/captures diverge from the
-/// snapshot — turns a digest mismatch into an actionable diagnostic.
-std::string DescribeDivergence(const core::CorrelatorInput& replayed,
-                               const core::CorrelatorInput& stored) {
-  auto first_tb_diff = [](const std::vector<ran::TbRecord>& a,
-                          const std::vector<ran::TbRecord>& b) -> std::ptrdiff_t {
-    const std::size_t n = std::min(a.size(), b.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      StateDigest da, db;
-      da.Mix(std::vector<ran::TbRecord>{a[i]});
-      db.Mix(std::vector<ran::TbRecord>{b[i]});
-      if (da.value() != db.value()) return static_cast<std::ptrdiff_t>(i);
-    }
-    return a.size() != b.size() ? static_cast<std::ptrdiff_t>(n) : -1;
-  };
-  std::ostringstream os;
-  os << "replayed " << replayed.telemetry.size() << " TBs / " << replayed.core.size()
-     << " core captures vs snapshot " << stored.telemetry.size() << " / "
-     << stored.core.size();
-  const std::ptrdiff_t tb = first_tb_diff(replayed.telemetry, stored.telemetry);
-  if (tb >= 0) os << "; first diverging telemetry record at index " << tb;
-  return os.str();
-}
-
-}  // namespace
 
 RunOutcome CheckpointingDriver::Drive(const Checkpoint* resume_from) {
   // Live consumers (the mitigation control plane) see the whole attempt:
@@ -484,15 +358,14 @@ RunOutcome CheckpointingDriver::Drive(const Checkpoint* resume_from) {
   // --- fast-forward replay to the checkpoint boundary, then verify ---
   if (resume_from != nullptr) {
     simulator.RunUntil(resume_from->virtual_time);
-    const core::CorrelatorInput replayed = session.BuildCorrelatorInput();
-    StateDigest digest;
-    digest.Mix(replayed);
-    if (digest.value() != resume_from->state_digest) {
-      throw CheckpointError(
-          "restore verification failed: replayed state digest differs from the "
-          "snapshot — the build or configuration is not the one that took the "
-          "checkpoint (" +
-          DescribeDivergence(replayed, resume_from->input) + ")");
+    const std::uint64_t replayed = InputDigest(session);
+    if (replayed != resume_from->state_digest) {
+      std::ostringstream os;
+      os << "restore verification failed at " << sim::ToString(resume_from->virtual_time)
+         << ": replayed state digest 0x" << std::hex << replayed << " != snapshot 0x"
+         << resume_from->state_digest
+         << " — the build or configuration is not the one that took the checkpoint";
+      throw CheckpointError(os.str());
     }
     obs::SetGauge("resilience.checkpoint.restored_at_ms",
                   resume_from->virtual_time.ms());

@@ -1,25 +1,26 @@
-// Deterministic checkpoint/restore for long-running sessions.
+// Deterministic, replay-verified snapshots — one format for sessions
+// and sharded worlds.
 //
-// Athena sessions are pure functions of (SessionConfig, seed): every
-// random decision flows from seeded sim::Rng streams and virtual time,
-// so an identical build replays to an identical state. A checkpoint
-// exploits that: it is a versioned, self-describing, checksummed binary
-// snapshot of the session's *observable* state at a virtual-time
-// boundary — the accumulated correlator-input streams (PHY telemetry +
-// the capture logs, i.e. everything the measurement pipeline has
-// collected so far), the clock-offset estimates, progress counters and
-// an FNV-1a state digest over all of it.
+// Athena runs are pure functions of (config, seed): every random
+// decision flows from seeded sim::Rng streams and virtual time, so an
+// identical build replays to an identical state. A snapshot therefore
+// does not carry state, it *witnesses* it: the run's identity (config
+// fingerprint + seed), the virtual-time boundary it was taken at, an
+// FNV-1a digest of the observable state there, and — for worlds — the
+// pending mailbox reduced to canonical-order records. A session
+// snapshot has an empty witness and serializes to 60 bytes whatever the
+// run length.
 //
-// Restore is replay-based: a fresh process rebuilds the session from the
-// plan, fast-forwards to the checkpoint's virtual time, and *verifies*
-// that the replayed state digest is byte-identical to the snapshot
-// before continuing — catching nondeterminism, config drift and version
-// skew instead of silently diverging. (Serializing the live event queue
-// is impossible in general C++ — callbacks are closures — and
-// unnecessary: determinism makes the reached state reproducible, and the
-// digest makes the reproduction *checkable*.) A restored run therefore
-// finishes with a final report digest byte-identical to an uninterrupted
-// run; tests/resilience_test.cpp pins that across seeds × kill points.
+// Restore is replay-based: a fresh run is rebuilt from the plan, replays
+// from t=0 to the snapshot's boundary, and *verifies* the replayed
+// digest (and witness) byte-for-byte before continuing — catching
+// nondeterminism, config drift and version skew instead of silently
+// diverging. (Serializing live event queues is impossible in general
+// C++ — callbacks are closures — and unnecessary: determinism makes the
+// reached state reproducible, and the digest makes the reproduction
+// *checkable*.) A restored run therefore finishes byte-identical to an
+// uninterrupted one; tests/resilience_test.cpp and
+// tests/world_resilience_test.cpp pin that across seeds × kill points.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +34,7 @@
 #include "core/correlator.hpp"
 #include "resilience/overload.hpp"
 #include "sim/time.hpp"
+#include "world/mailbox.hpp"
 
 namespace athena::obs {
 class TraceSink;
@@ -40,9 +42,9 @@ class TraceSink;
 
 namespace athena::resilience {
 
-/// A malformed, truncated, corrupted or mismatched checkpoint. Always a
-/// diagnostic, never UB: loading validates the magic, version, size and
-/// payload checksum before any field is trusted.
+/// A malformed, truncated, corrupted, mismatched or unverifiable
+/// snapshot. Always a diagnostic, never UB: loading validates the magic,
+/// checksum, version and record count before any field is trusted.
 class CheckpointError : public std::runtime_error {
  public:
   explicit CheckpointError(const std::string& what) : std::runtime_error(what) {}
@@ -66,37 +68,41 @@ class StateDigest {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
 };
 
-/// Digest of the SessionConfig fields that shape a run's behaviour. A
-/// checkpoint taken under one configuration refuses to restore under
-/// another (the replay would silently diverge otherwise).
-[[nodiscard]] std::uint64_t ConfigFingerprint(const app::SessionConfig& config);
+/// Digest of the SessionConfig fields that shape a run's behaviour, plus
+/// the planned run length. A checkpoint taken under one plan refuses to
+/// restore under another (the replay would silently diverge otherwise).
+[[nodiscard]] std::uint64_t ConfigFingerprint(const app::SessionConfig& config,
+                                              sim::Duration duration);
 
-/// One snapshot of a session at a virtual-time boundary.
+/// One snapshot of a session or a world at a virtual-time boundary.
 struct Checkpoint {
-  static constexpr std::uint32_t kVersion = 1;
+  static constexpr std::uint32_t kVersion = 2;
 
   // --- identity ---
-  std::uint64_t config_fingerprint = 0;
+  std::uint64_t config_fingerprint = 0;  ///< ConfigFingerprint / WorldConfigFingerprint
   std::uint64_t seed = 0;
-  sim::Duration planned_duration{0};
 
-  // --- progress ---
-  sim::TimePoint virtual_time;          ///< boundary the snapshot was taken at
-  std::uint64_t events_executed = 0;
+  // --- boundary ---
+  sim::TimePoint virtual_time;  ///< the snapshot was taken here
 
-  // --- observable state ---
-  std::uint64_t state_digest = 0;       ///< StateDigest over `input`
-  core::CorrelatorInput input;          ///< streams collected so far
+  // --- witness ---
+  /// Session: StateDigest over the correlator input collected so far.
+  /// World: engine.Digest() over every shard's deterministic state.
+  std::uint64_t state_digest = 0;
+  /// World only: every pending mailbox message, canonical (arrival, src,
+  /// seq) order. Empty for sessions.
+  std::vector<world::WorldMsgRecord> mailbox;
 
-  /// Serializes to the versioned binary format (magic + header + record
-  /// payload + trailing FNV checksum).
+  /// Serializes to the versioned binary format (magic + header + mailbox
+  /// records + trailing FNV-1a checksum), little-endian byte-by-byte.
   void Serialize(std::vector<std::uint8_t>& out) const;
   [[nodiscard]] std::size_t SerializedBytes() const;
   void WriteFile(const std::string& path) const;
 
-  /// Parses and validates a serialized checkpoint. Throws CheckpointError
-  /// with a diagnostic on bad magic, unsupported version, truncation or a
-  /// checksum mismatch — never returns garbage.
+  /// Parses and validates a serialized snapshot. Throws CheckpointError
+  /// with a diagnostic on bad magic, unsupported version, truncation, a
+  /// checksum mismatch or a record count the payload cannot hold — never
+  /// returns garbage.
   [[nodiscard]] static Checkpoint Deserialize(const std::uint8_t* data, std::size_t size);
   [[nodiscard]] static Checkpoint LoadFile(const std::string& path);
 };
@@ -169,8 +175,8 @@ class CheckpointingDriver {
 
   /// Restore: validates `ckpt` against the plan, replays a fresh session
   /// to the checkpoint's virtual time, verifies the replayed state
-  /// digest byte-for-byte (CheckpointError on mismatch, with the first
-  /// diverging record in the diagnostic), then continues to the end.
+  /// digest (CheckpointError on mismatch, naming the boundary and both
+  /// digests), then continues to the end.
   [[nodiscard]] RunOutcome Resume(const Checkpoint& ckpt);
 
   [[nodiscard]] const RunPlan& plan() const { return plan_; }

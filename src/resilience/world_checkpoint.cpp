@@ -1,6 +1,5 @@
 #include "resilience/world_checkpoint.hpp"
 
-#include <fstream>
 #include <sstream>
 
 #include "sim/barrier.hpp"
@@ -44,210 +43,47 @@ std::uint64_t WorldConfigFingerprint(const world::WorldConfig& config) {
   return d.value();
 }
 
-// ---------------------------------------------------------------------------
-// Binary format
-// ---------------------------------------------------------------------------
-//
-//   [0..8)    magic "ATHWSNP\n"
-//   [8..12)   u32 version
-//   [12..16)  u32 reserved (0)
-//   ...       header fields (fixed-width little-endian)
-//   ...       mailbox records (41 bytes each)
-//   [-8..)    u64 FNV-1a checksum over every preceding byte
-//
-// Same conventions as the session checkpoint (checkpoint.cpp): all
-// integers little-endian byte-by-byte, so the file is identical across
-// platforms and never depends on struct layout.
-
 namespace {
 
-constexpr char kMagic[8] = {'A', 'T', 'H', 'W', 'S', 'N', 'P', '\n'};
-constexpr std::size_t kRecordBytes = 1 + 4 + 4 + 8 + 8 + 4 + 4 + 8;
-constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 6 * 8 + 8;  // magic..count
-
-class Writer {
- public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
-
-  void U8(std::uint8_t v) { out_.push_back(v); }
-  void U32(std::uint32_t v) { Le(v, 4); }
-  void U64(std::uint64_t v) { Le(v, 8); }
-  void I64(std::int64_t v) { Le(static_cast<std::uint64_t>(v), 8); }
-
- private:
-  void Le(std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
-  }
-  std::vector<std::uint8_t>& out_;
-};
-
-class Reader {
- public:
-  Reader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
-
-  [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
-
-  std::uint8_t U8() { return static_cast<std::uint8_t>(Le(1)); }
-  std::uint32_t U32() { return static_cast<std::uint32_t>(Le(4)); }
-  std::uint64_t U64() { return Le(8); }
-  std::int64_t I64() { return static_cast<std::int64_t>(Le(8)); }
-
- private:
-  std::uint64_t Le(int bytes) {
-    if (pos_ + static_cast<std::size_t>(bytes) > size_) {
-      throw CheckpointError("world snapshot truncated: needed " + std::to_string(bytes) +
-                            " bytes at offset " + std::to_string(pos_) + ", file has " +
-                            std::to_string(size_));
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < bytes; ++i) v |= static_cast<std::uint64_t>(data_[pos_++]) << (i * 8);
-    return v;
-  }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
-std::uint64_t FnvOver(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+sim::WindowSchedule ScheduleOf(const world::WorldConfig& config) {
+  return sim::WindowSchedule::Cover(sim::kEpoch, sim::kEpoch + config.duration,
+                                    config.link_latency);
 }
 
 }  // namespace
 
-void WorldSnapshot::Serialize(std::vector<std::uint8_t>& out) const {
-  out.clear();
-  out.reserve(SerializedBytes());
-  Writer w(out);
-  for (const char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
-  w.U32(kVersion);
-  w.U32(0);  // reserved
-  w.U64(config_fingerprint);
-  w.U64(seed);
-  w.U64(window);
-  w.I64(virtual_us);
-  w.U64(windows_total);
-  w.U64(state_digest);
-  w.U64(mailbox.size());
-  for (const world::WorldMsgRecord& r : mailbox) {
-    w.U8(r.kind);
-    w.U32(r.src);
-    w.U32(r.dst);
-    w.U64(r.seq);
-    w.I64(r.arrival_us);
-    w.U32(r.ue);
-    w.U32(r.target_cell);
-    w.U64(r.payload_digest);
-  }
-  w.U64(FnvOver(out.data(), out.size()));
-}
-
-std::size_t WorldSnapshot::SerializedBytes() const {
-  return kHeaderBytes + mailbox.size() * kRecordBytes + 8;
-}
-
-void WorldSnapshot::WriteFile(const std::string& path) const {
-  std::vector<std::uint8_t> bytes;
-  Serialize(bytes);
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  if (!out.good()) throw CheckpointError("cannot open for writing: " + path);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  if (!out.good()) throw CheckpointError("short write: " + path);
-}
-
-WorldSnapshot WorldSnapshot::Deserialize(const std::uint8_t* data, std::size_t size) {
-  if (size < kHeaderBytes + 8) {
-    throw CheckpointError("world snapshot too small to be valid (" +
-                          std::to_string(size) + " bytes)");
-  }
-  for (std::size_t i = 0; i < sizeof(kMagic); ++i) {
-    if (data[i] != static_cast<std::uint8_t>(kMagic[i])) {
-      throw CheckpointError("bad magic: not a world snapshot file");
-    }
-  }
-  // Checksum before any field is trusted.
-  const std::uint64_t stored_sum = Reader(data + size - 8, 8).U64();
-  const std::uint64_t actual_sum = FnvOver(data, size - 8);
-  if (stored_sum != actual_sum) {
-    std::ostringstream os;
-    os << "world snapshot checksum mismatch: stored 0x" << std::hex << stored_sum
-       << ", computed 0x" << actual_sum << " — file corrupt or truncated";
-    throw CheckpointError(os.str());
-  }
-
-  Reader r(data + sizeof(kMagic), size - sizeof(kMagic) - 8);
-  const std::uint32_t version = r.U32();
-  if (version != kVersion) {
-    throw CheckpointError("unsupported world snapshot version " +
-                          std::to_string(version) + " (this build reads " +
-                          std::to_string(kVersion) + ")");
-  }
-  (void)r.U32();  // reserved
-
-  WorldSnapshot s;
-  s.config_fingerprint = r.U64();
-  s.seed = r.U64();
-  s.window = r.U64();
-  s.virtual_us = r.I64();
-  s.windows_total = r.U64();
-  s.state_digest = r.U64();
-  const std::uint64_t count = r.U64();
-  if (count * kRecordBytes != r.remaining()) {
-    throw CheckpointError("world snapshot header declares " + std::to_string(count) +
-                          " mailbox records but " + std::to_string(r.remaining()) +
-                          " payload bytes remain (" + std::to_string(kRecordBytes) +
-                          " per record)");
-  }
-  s.mailbox.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    world::WorldMsgRecord rec;
-    rec.kind = r.U8();
-    rec.src = r.U32();
-    rec.dst = r.U32();
-    rec.seq = r.U64();
-    rec.arrival_us = r.I64();
-    rec.ue = r.U32();
-    rec.target_cell = r.U32();
-    rec.payload_digest = r.U64();
-    s.mailbox.push_back(rec);
-  }
-  return s;
-}
-
-WorldSnapshot WorldSnapshot::LoadFile(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in.good()) throw CheckpointError("cannot open: " + path);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  return Deserialize(bytes.data(), bytes.size());
-}
-
-WorldSnapshot SnapshotWorld(const world::WorldEngine& engine, std::uint64_t window) {
+Checkpoint SnapshotWorld(const world::WorldEngine& engine, std::uint64_t window) {
   const world::WorldConfig& config = engine.config();
-  const auto schedule = sim::WindowSchedule::Cover(
-      sim::kEpoch, sim::kEpoch + config.duration, config.link_latency);
-  WorldSnapshot s;
+  Checkpoint s;
   s.config_fingerprint = WorldConfigFingerprint(config);
   s.seed = config.seed;
-  s.window = window;
-  s.virtual_us = schedule.WindowEnd(window).us();
-  s.windows_total = schedule.windows;
+  s.virtual_time = ScheduleOf(config).WindowEnd(window);
   s.state_digest = engine.Digest();
   s.mailbox = engine.PendingMailRecords();
   return s;
 }
 
+std::uint64_t SnapshotWindow(const world::WorldConfig& config, const Checkpoint& snapshot) {
+  const sim::WindowSchedule schedule = ScheduleOf(config);
+  const std::int64_t offset = (snapshot.virtual_time - schedule.start).count();
+  const std::int64_t step = schedule.lookahead.count();
+  const std::uint64_t window =
+      offset > 0 ? static_cast<std::uint64_t>(offset / step) : 0;
+  if (window == 0 || window >= schedule.windows ||
+      schedule.WindowEnd(window) != snapshot.virtual_time) {
+    throw CheckpointError("world snapshot time " + sim::ToString(snapshot.virtual_time) +
+                          " is not an interior window boundary of this run (" +
+                          std::to_string(schedule.windows) + " windows of " +
+                          sim::ToString(schedule.lookahead) + ")");
+  }
+  return window;
+}
+
 std::string DescribeWorldDivergence(
-    const WorldSnapshot& expected, std::uint64_t replayed_digest,
+    const Checkpoint& expected, std::uint64_t window, std::uint64_t replayed_digest,
     const std::vector<world::WorldMsgRecord>& replayed_mailbox) {
   std::ostringstream os;
-  os << "replay diverged from the snapshot at window " << expected.window << ": ";
+  os << "replay diverged from the snapshot at window " << window << ": ";
   if (replayed_digest != expected.state_digest) {
     os << "state digest 0x" << std::hex << replayed_digest << " != snapshot 0x"
        << expected.state_digest << std::dec;

@@ -43,7 +43,7 @@ WorldSupervisedOutcome WorldSupervisor::Run(const WorldFaultSpec& faults) {
   return Drive(faults, nullptr);
 }
 
-WorldSupervisedOutcome WorldSupervisor::RunFrom(const WorldSnapshot& start,
+WorldSupervisedOutcome WorldSupervisor::RunFrom(const Checkpoint& start,
                                                 const WorldFaultSpec& faults) {
   const std::uint64_t fingerprint = WorldConfigFingerprint(config_);
   if (start.config_fingerprint != fingerprint) {
@@ -58,11 +58,12 @@ WorldSupervisedOutcome WorldSupervisor::RunFrom(const WorldSnapshot& start,
                           " does not match the configured seed " +
                           std::to_string(config_.seed));
   }
+  (void)SnapshotWindow(config_, start);  // throws unless on this run's window grid
   return Drive(faults, &start);
 }
 
 WorldSupervisedOutcome WorldSupervisor::Drive(const WorldFaultSpec& faults,
-                                              const WorldSnapshot* start) {
+                                              const Checkpoint* start) {
   WorldSupervisedOutcome out;
   const auto say = [&](const std::string& msg) {
     if (options_.on_event) options_.on_event(msg);
@@ -76,8 +77,8 @@ WorldSupervisedOutcome WorldSupervisor::Drive(const WorldFaultSpec& faults,
           ? faults.blame_cell % config_.cells
           : (faults.any() ? faults.crash_shard % config_.shards : 0);
 
-  // The latest snapshot is the restart point; seed it from --world-restore.
-  std::optional<WorldSnapshot> latest;
+  // The latest snapshot is the restart point; seed it from --restore.
+  std::optional<Checkpoint> latest;
   if (start != nullptr) latest = *start;
 
   int kills_done = 0;
@@ -85,11 +86,12 @@ WorldSupervisedOutcome WorldSupervisor::Drive(const WorldFaultSpec& faults,
   bool quarantined = false;
   const int max_attempts = options_.max_restarts + 1;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
+    const std::uint64_t restore_window = latest ? SnapshotWindow(config_, *latest) : 0;
     if (attempt > 0) {
       ++out.restarts;
       std::ostringstream os;
       os << "restart " << attempt << "/" << options_.max_restarts << " from "
-         << (latest ? "snapshot at window " + std::to_string(latest->window)
+         << (latest ? "snapshot at window " + std::to_string(restore_window)
                     : std::string{"scratch (no snapshot yet)"});
       say(os.str());
     }
@@ -108,7 +110,6 @@ WorldSupervisedOutcome WorldSupervisor::Drive(const WorldFaultSpec& faults,
           world::WorldConfig::QuarantineSpec{blame_cell, sim::TimePoint{sim::Duration{at_us}}});
     }
 
-    const std::uint64_t restore_window = latest ? latest->window : 0;
     if (latest) ++out.restores;
 
     world::WorldEngine engine(cfg);
@@ -121,14 +122,14 @@ WorldSupervisedOutcome WorldSupervisor::Drive(const WorldFaultSpec& faults,
         const std::uint64_t digest = engine.Digest();
         const auto mailbox = engine.PendingMailRecords();
         if (digest != latest->state_digest || !(mailbox == latest->mailbox)) {
-          throw CheckpointError(DescribeWorldDivergence(*latest, digest, mailbox));
+          throw CheckpointError(DescribeWorldDivergence(*latest, k, digest, mailbox));
         }
         out.restore_replay_seconds += SecondsSince(attempt_t0);
       }
       if (options_.checkpoint_every_windows > 0 &&
           k % options_.checkpoint_every_windows == 0 && k > restore_window &&
           k < schedule.windows) {
-        WorldSnapshot snapshot = SnapshotWorld(engine, k);
+        Checkpoint snapshot = SnapshotWorld(engine, k);
         ++out.checkpoints_taken;
         out.last_snapshot_bytes = snapshot.SerializedBytes();
         if (options_.on_checkpoint) options_.on_checkpoint(snapshot);

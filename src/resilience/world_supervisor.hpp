@@ -69,7 +69,7 @@ struct WorldSupervisorOptions {
   int cell_restart_budget = 2;
   /// Invoked with every snapshot taken (the CLI spills the latest to
   /// disk). Observability only: must not mutate the run.
-  std::function<void(const WorldSnapshot&)> on_checkpoint;
+  std::function<void(const Checkpoint&)> on_checkpoint;
   /// Human-readable lifecycle events (crash, restore, quarantine).
   std::function<void(const std::string&)> on_event;
 };
@@ -99,11 +99,11 @@ class WorldSupervisor {
   /// Supervised run from scratch.
   [[nodiscard]] WorldSupervisedOutcome Run(const WorldFaultSpec& faults);
 
-  /// Supervised run seeded with an on-disk snapshot (--world-restore):
-  /// validates identity (fingerprint + seed — CheckpointError on
-  /// mismatch), then replays to the snapshot's window, verifies, and
-  /// continues under supervision.
-  [[nodiscard]] WorldSupervisedOutcome RunFrom(const WorldSnapshot& start,
+  /// Supervised run seeded with an on-disk snapshot (--restore):
+  /// validates identity (fingerprint + seed) and that the snapshot lies
+  /// on a window boundary — CheckpointError otherwise — then replays to
+  /// that window, verifies, and continues under supervision.
+  [[nodiscard]] WorldSupervisedOutcome RunFrom(const Checkpoint& start,
                                                const WorldFaultSpec& faults);
 
   /// The window the fault spec resolves to under this config (exposed so
@@ -112,7 +112,7 @@ class WorldSupervisor {
 
  private:
   [[nodiscard]] WorldSupervisedOutcome Drive(const WorldFaultSpec& faults,
-                                             const WorldSnapshot* start);
+                                             const Checkpoint* start);
 
   world::WorldConfig config_;
   WorldSupervisorOptions options_;

@@ -1,10 +1,14 @@
-// Resilience-layer tests: checkpoint serialization + rejection of
-// malformed snapshots, the restore-equals-uninterrupted determinism
-// property across seeds × kill points, watchdog stall detection,
-// bounded supervisor retries, the overload governor's priority tiers,
-// the trace recorder's byte budget, and the overload detector.
+// Resilience-layer tests: the restore-equals-uninterrupted determinism
+// property across seeds × kill points, replay verification of forged
+// snapshots, the one snapshot codec over session- and world-shaped
+// snapshots (round trip + rejection of malformed bytes), watchdog stall
+// detection, bounded supervisor retries, the overload governor's
+// priority tiers, the trace recorder's byte budget, and the overload
+// detector.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,9 +20,11 @@
 #include "resilience/checkpoint.hpp"
 #include "resilience/overload.hpp"
 #include "resilience/supervisor.hpp"
+#include "resilience/world_checkpoint.hpp"
 #include "sim/check.hpp"
 #include "sim/runner.hpp"
 #include "sim/simulator.hpp"
+#include "world/engine.hpp"
 
 namespace athena {
 namespace {
@@ -115,67 +121,156 @@ TEST(CheckpointRestoreTest, RestoredRunKeepsCheckpointingOnTheSameGrid) {
   }
 }
 
-// --- serialization: round trip + malformed-input rejection ---
+// --- replay verification: identity checks and forged witnesses ---
 
-class CheckpointSerializationTest : public ::testing::Test {
+/// The last checkpoint an uninterrupted run of `plan` takes.
+Checkpoint LatestCheckpoint(RunPlan plan) {
+  Checkpoint latest;
+  plan.on_checkpoint = [&latest](const Checkpoint& c) { latest = c; };
+  (void)CheckpointingDriver{plan}.Run();
+  return latest;
+}
+
+TEST(CheckpointRestoreTest, RefusesToResumeUnderADifferentPlan) {
+  // Same bytes, different seed: the replay would silently diverge, so
+  // Resume must refuse up front.
+  const Checkpoint latest = LatestCheckpoint(ShortPlan(5));
+  CheckpointingDriver other{ShortPlan(6)};
+  EXPECT_THROW((void)other.Resume(latest), CheckpointError);
+
+  // The planned duration is part of the fingerprint.
+  RunPlan longer = ShortPlan(5);
+  longer.duration = 3s;
+  CheckpointingDriver wrong_duration{longer};
+  EXPECT_THROW((void)wrong_duration.Resume(latest), CheckpointError);
+}
+
+TEST(CheckpointRestoreTest, ForgedStateDigestFailsReplayVerification) {
+  // A checksum-valid snapshot whose digest does not match the replay:
+  // identity checks pass, so only the replay verification can catch it.
+  const RunPlan plan = ShortPlan(5);
+  Checkpoint forged = LatestCheckpoint(plan);
+  forged.state_digest ^= 1;
+  std::vector<std::uint8_t> bytes;
+  forged.Serialize(bytes);
+  const Checkpoint reloaded = Checkpoint::Deserialize(bytes.data(), bytes.size());
+
+  CheckpointingDriver driver{plan};
+  try {
+    (void)driver.Resume(reloaded);
+    FAIL() << "a forged state digest was accepted";
+  } catch (const CheckpointError& e) {
+    const std::string what = e.what();
+    std::ostringstream forged_hex;
+    forged_hex << std::hex << forged.state_digest;
+    EXPECT_NE(what.find("replayed state digest"), std::string::npos) << what;
+    EXPECT_NE(what.find(forged_hex.str()), std::string::npos) << what;
+    EXPECT_NE(what.find(sim::ToString(forged.virtual_time)), std::string::npos) << what;
+  }
+}
+
+TEST(CheckpointRestoreTest, SessionCheckpointSizeIsIndependentOfRunLength) {
+  // A session snapshot is identity + boundary + digest: its size must not
+  // grow with the telemetry the run has collected.
+  RunPlan short_plan = ShortPlan(5);
+  RunPlan long_plan = ShortPlan(5);
+  long_plan.duration = 6s;
+  long_plan.checkpoint_every = 1s;
+  const std::size_t short_bytes = LatestCheckpoint(short_plan).SerializedBytes();
+  const std::size_t long_bytes = LatestCheckpoint(long_plan).SerializedBytes();
+  EXPECT_LE(short_bytes, 128u);
+  EXPECT_EQ(short_bytes, long_bytes);
+}
+
+// --- the one snapshot codec, over both shapes ---
+
+enum class Shape { kSession, kWorld };
+
+/// A session-shaped snapshot (empty witness) or a world-shaped one
+/// (a live world's pending mailbox as the witness).
+Checkpoint SnapshotOfShape(Shape shape) {
+  if (shape == Shape::kSession) return LatestCheckpoint(ShortPlan(5));
+  world::WorldConfig config;
+  config.ues = 12;
+  config.cells = 8;
+  config.shards = 2;
+  config.duration = sim::Duration{200ms};
+  config.handover_every = 4;
+  world::WorldEngine engine{config};
+  Checkpoint snapshot;
+  engine.set_window_hook([&](std::uint64_t k) {
+    if (k == 60) snapshot = resilience::SnapshotWorld(engine, k);
+  });
+  (void)engine.Run();
+  return snapshot;
+}
+
+class CheckpointCodecTest : public ::testing::TestWithParam<Shape> {
  protected:
   void SetUp() override {
-    RunPlan plan = ShortPlan(5);
-    plan.on_checkpoint = [this](const Checkpoint& c) { latest_ = c; };
-    (void)CheckpointingDriver{plan}.Run();
-    ASSERT_GT(latest_.events_executed, 0u);
-    ASSERT_FALSE(latest_.input.telemetry.empty());
-    latest_.Serialize(bytes_);
-    ASSERT_EQ(bytes_.size(), latest_.SerializedBytes());
+    snapshot_ = SnapshotOfShape(GetParam());
+    ASSERT_NE(snapshot_.state_digest, 0u);
+    ASSERT_EQ(snapshot_.mailbox.empty(), GetParam() == Shape::kSession);
+    snapshot_.Serialize(bytes_);
+    ASSERT_EQ(bytes_.size(), snapshot_.SerializedBytes());
   }
 
-  Checkpoint latest_;
+  /// Recomputes the trailing checksum, so only the field under test can
+  /// be what rejects the bytes.
+  static void Reseal(std::vector<std::uint8_t>& bytes) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t i = 0; i + 8 < bytes.size(); ++i) {
+      h ^= bytes[i];
+      h *= 0x100000001b3ULL;
+    }
+    for (std::size_t i = 0; i < 8; ++i) {
+      bytes[bytes.size() - 8 + i] = static_cast<std::uint8_t>(h >> (i * 8));
+    }
+  }
+
+  Checkpoint snapshot_;
   std::vector<std::uint8_t> bytes_;
 };
 
-TEST_F(CheckpointSerializationTest, RoundTripsEveryField) {
+TEST_P(CheckpointCodecTest, RoundTripsEveryFieldByteStably) {
   const Checkpoint back = Checkpoint::Deserialize(bytes_.data(), bytes_.size());
-  EXPECT_EQ(back.config_fingerprint, latest_.config_fingerprint);
-  EXPECT_EQ(back.seed, latest_.seed);
-  EXPECT_EQ(back.planned_duration, latest_.planned_duration);
-  EXPECT_EQ(back.virtual_time, latest_.virtual_time);
-  EXPECT_EQ(back.events_executed, latest_.events_executed);
-  EXPECT_EQ(back.state_digest, latest_.state_digest);
-  EXPECT_EQ(back.input.telemetry.size(), latest_.input.telemetry.size());
-  EXPECT_EQ(back.input.sender.size(), latest_.input.sender.size());
-  EXPECT_EQ(back.input.core.size(), latest_.input.core.size());
-  EXPECT_EQ(back.input.receiver.size(), latest_.input.receiver.size());
-  EXPECT_EQ(back.input.sender_offset, latest_.input.sender_offset);
-  EXPECT_EQ(back.input.receiver_offset, latest_.input.receiver_offset);
+  EXPECT_EQ(back.config_fingerprint, snapshot_.config_fingerprint);
+  EXPECT_EQ(back.seed, snapshot_.seed);
+  EXPECT_EQ(back.virtual_time, snapshot_.virtual_time);
+  EXPECT_EQ(back.state_digest, snapshot_.state_digest);
+  EXPECT_TRUE(back.mailbox == snapshot_.mailbox);
 
-  resilience::StateDigest digest;
-  digest.Mix(back.input);
-  EXPECT_EQ(digest.value(), back.state_digest);
+  // Re-serializing the parsed snapshot reproduces the exact bytes.
+  std::vector<std::uint8_t> again;
+  back.Serialize(again);
+  EXPECT_EQ(again, bytes_);
 }
 
-TEST_F(CheckpointSerializationTest, RoundTripsThroughAFile) {
-  const std::string path = ::testing::TempDir() + "/athena_ckpt_test.bin";
-  latest_.WriteFile(path);
+TEST_P(CheckpointCodecTest, RoundTripsThroughAFile) {
+  const std::string path = ::testing::TempDir() + "/athena_ckpt_test" +
+                           std::to_string(static_cast<int>(GetParam())) + ".bin";
+  snapshot_.WriteFile(path);
   const Checkpoint back = Checkpoint::LoadFile(path);
-  EXPECT_EQ(back.state_digest, latest_.state_digest);
-  EXPECT_EQ(back.virtual_time, latest_.virtual_time);
+  EXPECT_EQ(back.state_digest, snapshot_.state_digest);
+  EXPECT_EQ(back.virtual_time, snapshot_.virtual_time);
+  EXPECT_TRUE(back.mailbox == snapshot_.mailbox);
 }
 
-TEST_F(CheckpointSerializationTest, RejectsTruncation) {
+TEST_P(CheckpointCodecTest, RejectsTruncation) {
   // Any prefix must be rejected, from the empty file to one missing only
   // the final checksum byte.
-  for (const std::size_t size :
-       {std::size_t{0}, std::size_t{4}, bytes_.size() / 2, bytes_.size() - 1}) {
+  for (const std::size_t size : {std::size_t{0}, std::size_t{4}, std::size_t{40},
+                                 bytes_.size() / 2, bytes_.size() - 1}) {
     EXPECT_THROW((void)Checkpoint::Deserialize(bytes_.data(), size), CheckpointError)
         << "accepted a " << size << "-byte prefix";
   }
 }
 
-TEST_F(CheckpointSerializationTest, RejectsBitFlipsAnywhere) {
-  // Magic, header fields, record payload, trailing checksum — a flip in
+TEST_P(CheckpointCodecTest, RejectsBitFlipsAnywhere) {
+  // Magic, header fields, witness records, trailing checksum — a flip in
   // any region must be caught before a single field is trusted.
   for (const std::size_t at : {std::size_t{0}, std::size_t{9}, bytes_.size() / 2,
-                               bytes_.size() - 1}) {
+                               bytes_.size() - 3, bytes_.size() - 1}) {
     std::vector<std::uint8_t> corrupt = bytes_;
     corrupt[at] ^= 0x40;
     EXPECT_THROW((void)Checkpoint::Deserialize(corrupt.data(), corrupt.size()),
@@ -184,24 +279,61 @@ TEST_F(CheckpointSerializationTest, RejectsBitFlipsAnywhere) {
   }
 }
 
-TEST_F(CheckpointSerializationTest, RejectsTrailingGarbage) {
+TEST_P(CheckpointCodecTest, RejectsTrailingGarbage) {
   std::vector<std::uint8_t> padded = bytes_;
   padded.push_back(0);
   EXPECT_THROW((void)Checkpoint::Deserialize(padded.data(), padded.size()),
                CheckpointError);
 }
 
-TEST_F(CheckpointSerializationTest, RefusesToResumeUnderADifferentPlan) {
-  // Same bytes, different seed: the replay would silently diverge, so
-  // Resume must refuse up front.
-  CheckpointingDriver other{ShortPlan(6)};
-  EXPECT_THROW((void)other.Resume(latest_), CheckpointError);
-
-  RunPlan longer = ShortPlan(5);
-  longer.duration = 3s;
-  CheckpointingDriver wrong_duration{longer};
-  EXPECT_THROW((void)wrong_duration.Resume(latest_), CheckpointError);
+TEST_P(CheckpointCodecTest, RejectsBadMagic) {
+  // The retired world-snapshot magic is a foreign file, even with a
+  // valid checksum.
+  std::vector<std::uint8_t> world_magic = bytes_;
+  const char retired[8] = {'A', 'T', 'H', 'W', 'S', 'N', 'P', '\n'};
+  std::copy(retired, retired + 8, world_magic.begin());
+  Reseal(world_magic);
+  EXPECT_THROW((void)Checkpoint::Deserialize(world_magic.data(), world_magic.size()),
+               CheckpointError);
 }
+
+TEST_P(CheckpointCodecTest, RejectsOtherVersions) {
+  // Version 1 is the retired payload-carrying format; a future version
+  // is equally unreadable. The checksum is recomputed so only the
+  // version check can reject them.
+  for (const std::uint32_t version : {1u, Checkpoint::kVersion + 1}) {
+    std::vector<std::uint8_t> other = bytes_;
+    other[8] = static_cast<std::uint8_t>(version);
+    Reseal(other);
+    EXPECT_THROW((void)Checkpoint::Deserialize(other.data(), other.size()),
+                 CheckpointError)
+        << "accepted version " << version;
+  }
+}
+
+TEST_P(CheckpointCodecTest, RejectsARecordCountThatWrapsTheSize) {
+  // count = 41^-1 mod 2^64, so count × 41 wraps to exactly the one
+  // payload byte that follows. The parser must reject the count before
+  // it reaches reserve(), not throw std::length_error from it.
+  constexpr std::size_t kCountOffset = 44;
+  constexpr std::uint64_t kWrappingCount = 10348173504763894809ULL;
+  static_assert(kWrappingCount * 41 == 1);
+  std::vector<std::uint8_t> lying(bytes_.begin(), bytes_.begin() + kCountOffset + 8);
+  for (std::size_t i = 0; i < 8; ++i) {
+    lying[kCountOffset + i] = static_cast<std::uint8_t>(kWrappingCount >> (i * 8));
+  }
+  lying.push_back(0);                // the one payload byte
+  lying.resize(lying.size() + 8);    // checksum slot
+  Reseal(lying);
+  EXPECT_THROW((void)Checkpoint::Deserialize(lying.data(), lying.size()),
+               CheckpointError);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothShapes, CheckpointCodecTest,
+                         ::testing::Values(Shape::kSession, Shape::kWorld),
+                         [](const ::testing::TestParamInfo<Shape>& info) {
+                           return info.param == Shape::kSession ? "Session" : "World";
+                         });
 
 // --- supervision: stalls, retry budgets, contained check violations ---
 
