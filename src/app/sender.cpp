@@ -96,9 +96,9 @@ void VcaSender::OnFeedbackPacket(const net::Packet& p) {
     // retransmission is a fresh transmission for the transport: new packet
     // id and transport-wide sequence number, same RTP identity.
     for (const auto seq : p.nack->seqs) {
-      const net::Packet* cached = rtx_cache_.Find(p.nack->ssrc, seq);
-      if (cached == nullptr) continue;  // evicted: the receiver gives up
-      net::Packet rtx = *cached;
+      std::optional<net::Packet> cached = rtx_cache_.Find(p.nack->ssrc, seq);
+      if (!cached) continue;  // evicted: the receiver gives up
+      net::Packet& rtx = *cached;
       rtx.id = ids_.Next();
       rtx.created_at = sim_.Now();
       rtx.rtp->transport_seq = transport_seq_.Next();

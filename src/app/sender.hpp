@@ -35,6 +35,7 @@ class VcaSender {
     double audio_reserve_bps = 80e3;
     /// RFC 4585 NACK handling: retransmit cached packets on request.
     bool nack_enabled = true;
+    /// Retransmission window in packets, 1..65536 (checked).
     std::size_t rtx_cache_packets = 2048;
     /// Paced sending instead of per-frame bursts (see app/pacer.hpp).
     bool pacing_enabled = false;

@@ -9,7 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "media/emodel.hpp"
 #include "media/encoder.hpp"
@@ -85,11 +85,15 @@ class QoeCollector {
   Config config_;
 
   struct SentInfo {
+    std::uint64_t frame_id = 0;
     sim::TimePoint captured_at;
     double ssim = 1.0;
-    bool is_audio = false;
   };
-  std::unordered_map<std::uint64_t, SentInfo> sent_;
+  /// Sent-unit registry, one per kind (audio and video ids are separate
+  /// spaces), each ordered by frame_id. Encoders hand out rising ids, so
+  /// registration is an append; a re-sent id overwrites its entry.
+  std::vector<SentInfo> sent_audio_;
+  std::vector<SentInfo> sent_video_;
 
   stats::TimeSeries received_bytes_;   // per media packet
   stats::TimeSeries rendered_frames_;  // 1.0 per rendered video frame

@@ -96,16 +96,18 @@ void BsrGrantPolicy::OnTbFilled(sim::TimePoint, const Decision&, std::uint32_t) 
 std::vector<MultiUeGrantPolicy::Allocation> SharedBsrGrantPolicy::OnUplinkSlot(
     sim::TimePoint slot_time, std::uint64_t slot_index, std::uint32_t available_bytes,
     const std::vector<UeDemand>& demand) {
-  std::vector<Allocation> out;
-  if (demand.empty() || available_bytes == 0) return out;
+  if (demand.empty() || available_bytes == 0) return {};
   std::uint32_t budget = available_bytes;
+
+  // One entry per demand position (so in UE-id order); tbs_bytes 0 marks a
+  // UE without a grant this slot — every real grant is > 0.
+  std::vector<Allocation> granted(demand.size());
 
   // Pass 1 — matured requested grants, in UE-id order. A grant the budget
   // cannot honour stays pending for the next slot (it was promised; the
   // contention merely delays it — the §3.1 delay, now population-induced).
-  std::map<std::uint32_t, Allocation> granted;
-  for (const UeDemand& d : demand) {
-    if (budget == 0) break;
+  for (std::size_t i = 0; i < demand.size() && budget > 0; ++i) {
+    const UeDemand& d = demand[i];
     auto it = ues_.find(d.ue);
     if (it == ues_.end()) continue;
     UeState& state = it->second;
@@ -123,7 +125,7 @@ std::vector<MultiUeGrantPolicy::Allocation> SharedBsrGrantPolicy::OnUplinkSlot(
     }
     state.outstanding -= tbs;
     budget -= tbs;
-    granted[d.ue] = Allocation{d.ue, tbs, GrantType::kRequested};
+    granted[i] = Allocation{d.ue, tbs, GrantType::kRequested};
   }
 
   // Pass 2 — proactive grants, round-robin from a slot-rotated offset so
@@ -133,17 +135,16 @@ std::vector<MultiUeGrantPolicy::Allocation> SharedBsrGrantPolicy::OnUplinkSlot(
     const std::size_t n = demand.size();
     const std::size_t offset = static_cast<std::size_t>(slot_index % n);
     for (std::size_t i = 0; i < n && budget > 0; ++i) {
-      const UeDemand& d = demand[(offset + i) % n];
-      if (granted.count(d.ue) != 0) continue;
+      const std::size_t slot = (offset + i) % n;
+      if (granted[slot].tbs_bytes != 0) continue;
       const std::uint32_t tbs = std::min(config_.proactive_grant_bytes, budget);
       budget -= tbs;
-      granted[d.ue] = Allocation{d.ue, tbs, GrantType::kProactive};
+      granted[slot] = Allocation{demand[slot].ue, tbs, GrantType::kProactive};
     }
   }
 
-  out.reserve(granted.size());
-  for (auto& [ue, alloc] : granted) out.push_back(alloc);
-  return out;
+  std::erase_if(granted, [](const Allocation& alloc) { return alloc.tbs_bytes == 0; });
+  return granted;
 }
 
 void SharedBsrGrantPolicy::OnBsrDecoded(std::uint32_t ue, sim::TimePoint decoded_at,

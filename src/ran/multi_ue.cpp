@@ -5,8 +5,21 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/check.hpp"
 
 namespace athena::ran {
+
+std::uint32_t UeRadioState::EligibleBufferBytes(sim::TimePoint slot_time,
+                                                sim::Duration processing_delay) const {
+  // The queue is ordered by enqueue time, so the packets not yet eligible
+  // are exactly a tail: subtract it from the running total.
+  std::uint32_t bytes = queued_bytes;
+  for (auto it = queue.rbegin();
+       it != queue.rend() && it->enqueued_at + processing_delay > slot_time; ++it) {
+    bytes -= it->remaining;
+  }
+  return bytes;
+}
 
 MultiUeUplink::MultiUeUplink(sim::Simulator& sim, RanConfig config, std::uint32_t cell_tag,
                              std::unique_ptr<MultiUeGrantPolicy> policy)
@@ -32,13 +45,13 @@ void MultiUeUplink::Stop() {
 }
 
 void MultiUeUplink::AttachUe(std::uint32_t ue, UeRadioState state) {
-  assert(ues_.count(ue) == 0 && "UE already attached");
-  ues_.emplace(ue, std::move(state));
+  const bool inserted = ues_.try_emplace(ue, std::move(state)).second;
+  ATHENA_CHECK(inserted, "AttachUe: UE already attached to this cell");
 }
 
 UeRadioState MultiUeUplink::DetachUe(std::uint32_t ue) {
   auto it = ues_.find(ue);
-  assert(it != ues_.end() && "detach of unattached UE");
+  ATHENA_CHECK(it != ues_.end(), "DetachUe: UE not attached to this cell");
   UeRadioState state = std::move(it->second);
   ues_.erase(it);
   policy_->OnUeRemoved(ue);
@@ -78,21 +91,15 @@ const UeRadioState* MultiUeUplink::FindUe(std::uint32_t ue) const {
 
 void MultiUeUplink::SendFromUe(std::uint32_t ue, const net::Packet& p) {
   auto it = ues_.find(ue);
-  assert(it != ues_.end() && "traffic offered for unattached UE");
+  ATHENA_CHECK(it != ues_.end(), "SendFromUe: traffic offered for an unattached UE");
   UeRadioState& state = it->second;
-  state.queue.push_back(UeQueuedPacket{p, p.size_bytes, sim_.Now()});
-  state.in_flight.emplace(p.id, UeDeliveryState{p, p.size_bytes, sim_.Now()});
+  const sim::TimePoint now = sim_.Now();
+  assert((state.queue.empty() || state.queue.back().enqueued_at <= now) &&
+         "RLC FIFO must stay ordered by enqueue time");
+  state.queue.push_back(UeQueuedPacket{p.id, p.size_bytes, now});
+  state.queued_bytes += p.size_bytes;
+  state.in_flight.emplace(p.id, UeDeliveryState{p, p.size_bytes, now});
   ++state.offered;
-}
-
-std::uint32_t MultiUeUplink::EligibleBufferBytes(const UeRadioState& ue_state,
-                                                sim::TimePoint slot_time,
-                                                sim::Duration processing_delay) {
-  std::uint32_t bytes = 0;
-  for (const auto& q : ue_state.queue) {
-    if (q.enqueued_at + processing_delay <= slot_time) bytes += q.remaining;
-  }
-  return bytes;
 }
 
 void MultiUeUplink::OnUplinkSlot() {
@@ -140,7 +147,7 @@ void MultiUeUplink::OnUplinkSlot() {
   demand.reserve(ues_.size());
   for (const auto& [ue, state] : ues_) {
     demand.push_back(MultiUeGrantPolicy::UeDemand{
-        ue, EligibleBufferBytes(state, slot_time, config_.ue_processing_delay)});
+        ue, state.EligibleBufferBytes(slot_time, config_.ue_processing_delay)});
   }
   const auto allocations =
       policy_->OnUplinkSlot(slot_time, slot_index_, available, demand);
@@ -191,11 +198,12 @@ void MultiUeUplink::TransmitNewTb(UeRadioState& ue_state,
     if (head.enqueued_at + config_.ue_processing_delay > slot_time) break;
     const std::uint32_t take = std::min(room, head.remaining);
     head.remaining -= take;
+    ue_state.queued_bytes -= take;
     room -= take;
-    tb.segments.push_back(Segment{head.pkt.id, take, head.remaining == 0});
+    tb.segments.push_back(Segment{head.id, take, head.remaining == 0});
     if (config_.ecn_marking_threshold.count() > 0 &&
         slot_time - head.enqueued_at > config_.ecn_marking_threshold) {
-      const auto flight = ue_state.in_flight.find(head.pkt.id);
+      const auto flight = ue_state.in_flight.find(head.id);
       if (flight != ue_state.in_flight.end()) flight->second.pkt.ecn_ce = true;
       ++counters_.ecn_marked;
     }
@@ -227,7 +235,7 @@ void MultiUeUplink::TransmitNewTb(UeRadioState& ue_state,
 
 void MultiUeUplink::Transmit(Tb tb, sim::TimePoint slot_time) {
   auto ue_it = ues_.find(tb.ue);
-  assert(ue_it != ues_.end() && "transmission for detached UE");
+  ATHENA_CHECK(ue_it != ues_.end(), "Transmit: TB for a UE not attached to this cell");
   UeRadioState& ue_state = ue_it->second;
 
   ++counters_.tb_transmissions;
@@ -269,10 +277,11 @@ void MultiUeUplink::OnTbDecoded(const Tb& tb, sim::TimePoint slot_time) {
     auto it = ue_state.in_flight.find(seg.packet_id);
     if (it == ue_state.in_flight.end()) continue;  // aborted by a dropped chain
     UeDeliveryState& state = it->second;
-    assert(state.undelivered >= seg.bytes);
+    ATHENA_CHECK(state.undelivered >= seg.bytes,
+                 "OnTbDecoded: segment larger than the packet's undelivered bytes");
     state.undelivered -= seg.bytes;
     if (state.undelivered == 0) {
-      const net::Packet pkt = state.pkt;
+      const net::Packet pkt = std::move(state.pkt);
       ue_state.in_flight.erase(it);
       ++ue_state.delivered;
       ++counters_.packets_delivered;

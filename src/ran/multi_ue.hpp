@@ -41,9 +41,10 @@
 
 namespace athena::ran {
 
-/// One queued datagram's remaining bytes in a UE's RLC buffer.
+/// One queued datagram's remaining bytes in a UE's RLC buffer. The
+/// packet itself lives once, in the UE's `in_flight` ledger.
 struct UeQueuedPacket {
-  net::Packet pkt;
+  net::PacketId id = 0;
   std::uint32_t remaining = 0;
   sim::TimePoint enqueued_at;
 };
@@ -59,7 +60,13 @@ struct UeDeliveryState {
 /// the sharded world ships it through a mailbox on handover.
 struct UeRadioState {
   ChannelModel channel{ChannelModel::Config{}, sim::Rng{1}};
+  /// RLC buffer, FIFO. `enqueued_at` never decreases from front to back:
+  /// packets enter at the owning cell's clock, and a handover moves the
+  /// queue forward in time only.
   std::deque<UeQueuedPacket> queue;
+  /// Running Σ queue[i].remaining, kept by MultiUeUplink on enqueue and
+  /// TB fill (the only places that touch `queue`).
+  std::uint32_t queued_bytes = 0;
   std::unordered_map<net::PacketId, UeDeliveryState> in_flight;
   /// The UE's control-channel telemetry stream, accumulated across every
   /// cell it visits (slot-time ordered: handover is one-way in time).
@@ -70,11 +77,12 @@ struct UeRadioState {
   std::uint64_t delivered = 0;  ///< packets fully decoded (on their way to the core)
   std::uint64_t lost = 0;       ///< HARQ-chain drops + handover-dropped chains
 
-  [[nodiscard]] std::uint32_t TotalBufferBytes() const {
-    std::uint32_t bytes = 0;
-    for (const auto& q : queue) bytes += q.remaining;
-    return bytes;
-  }
+  [[nodiscard]] std::uint32_t TotalBufferBytes() const { return queued_bytes; }
+
+  /// Buffered bytes old enough (enqueued at least `processing_delay`
+  /// before `slot_time`) to ride a TB in this slot.
+  [[nodiscard]] std::uint32_t EligibleBufferBytes(sim::TimePoint slot_time,
+                                                  sim::Duration processing_delay) const;
 };
 
 class MultiUeUplink {
@@ -155,9 +163,6 @@ class MultiUeUplink {
   void OnChainDropped(const Tb& tb, sim::TimePoint slot_time);
   void RecordTelemetry(UeRadioState& ue_state, const Tb& tb, sim::TimePoint slot_time,
                        bool crc_ok);
-  [[nodiscard]] static std::uint32_t EligibleBufferBytes(const UeRadioState& ue_state,
-                                                        sim::TimePoint slot_time,
-                                                        sim::Duration processing_delay);
   [[nodiscard]] bool InOutage(sim::TimePoint t) const {
     return outage_end_ > outage_start_ && t >= outage_start_ && t < outage_end_;
   }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/check.hpp"
+
 namespace athena::rtp {
 
 namespace {
@@ -87,22 +89,35 @@ void NackGenerator::CheckAndSend() {
   }
 }
 
-void RtxCache::Insert(const net::Packet& p) {
-  if (!p.rtp) return;
-  const std::uint64_t key = Key(p.rtp->ssrc, p.rtp->seq);
-  if (order_.size() < capacity_) {
-    order_.push_back(key);
-  } else {
-    cache_.erase(order_[next_evict_]);
-    order_[next_evict_] = key;
-    next_evict_ = (next_evict_ + 1) % capacity_;
-  }
-  cache_[key] = p;
+RtxCache::RtxCache(std::size_t capacity) : capacity_(capacity) {
+  ATHENA_CHECK(capacity >= 1 && capacity <= kMaxCapacity,
+               "RtxCache capacity must be in [1, 65536]");
 }
 
-const net::Packet* RtxCache::Find(std::uint32_t ssrc, std::uint16_t seq) const {
-  const auto it = cache_.find(Key(ssrc, seq));
-  return it == cache_.end() ? nullptr : &it->second;
+void RtxCache::Insert(const net::Packet& p) {
+  if (!p.rtp) return;
+  const Item item{p.flow, p.kind, p.size_bytes, *p.rtp};
+  if (items_.size() < capacity_) {
+    items_.push_back(item);
+  } else {
+    items_[next_evict_] = item;
+    next_evict_ = (next_evict_ + 1) % capacity_;
+  }
+}
+
+std::optional<net::Packet> RtxCache::Find(std::uint32_t ssrc, std::uint16_t seq) const {
+  // NACKs are rare (a handful per session): a scan beats keeping an index
+  // up to date on every insert.
+  const auto it = std::find_if(items_.begin(), items_.end(), [&](const Item& item) {
+    return item.rtp.seq == seq && item.rtp.ssrc == ssrc;
+  });
+  if (it == items_.end()) return std::nullopt;
+  net::Packet p;
+  p.flow = it->flow;
+  p.kind = it->kind;
+  p.size_bytes = it->size_bytes;
+  p.rtp = it->rtp;
+  return p;
 }
 
 }  // namespace athena::rtp

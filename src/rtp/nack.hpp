@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -69,27 +70,39 @@ class NackGenerator {
   std::uint64_t abandoned_ = 0;
 };
 
-/// Sender-side retransmission cache: recent RTP packets by (SSRC, seq).
+/// Sender-side retransmission cache: the last `capacity` RTP packets
+/// inserted, across every SSRC, findable by (SSRC, seq). A FIFO ring of
+/// compact items holding only what a retransmission reuses (flow, kind,
+/// size, RTP header), grown lazily up to `capacity`; once full, each
+/// insert overwrites the oldest item. `capacity` is at most 65536, so a
+/// window never holds one SSRC's sequence number twice.
 class RtxCache {
  public:
-  explicit RtxCache(std::size_t capacity = 2048) : capacity_(capacity) {}
+  static constexpr std::size_t kMaxCapacity = 65536;
+
+  explicit RtxCache(std::size_t capacity = 2048);
 
   void Insert(const net::Packet& p);
 
-  /// Returns the cached packet for (ssrc, seq), or nullptr if evicted.
-  [[nodiscard]] const net::Packet* Find(std::uint32_t ssrc, std::uint16_t seq) const;
+  /// The cached packet for (ssrc, seq) rebuilt from its item, or nullopt
+  /// if it was evicted (or never sent). `id` and `created_at` are left
+  /// zero: a retransmission is a fresh transmission, the sender stamps
+  /// both (and a new transport-wide sequence number).
+  [[nodiscard]] std::optional<net::Packet> Find(std::uint32_t ssrc, std::uint16_t seq) const;
 
-  [[nodiscard]] std::size_t size() const { return order_.size(); }
+  [[nodiscard]] std::size_t size() const { return items_.size(); }
 
  private:
-  static std::uint64_t Key(std::uint32_t ssrc, std::uint16_t seq) {
-    return (static_cast<std::uint64_t>(ssrc) << 16) | seq;
-  }
+  struct Item {
+    net::FlowId flow = 0;
+    net::PacketKind kind = net::PacketKind::kGeneric;
+    std::uint32_t size_bytes = 0;
+    net::RtpMeta rtp;
+  };
 
   std::size_t capacity_;
-  std::map<std::uint64_t, net::Packet> cache_;
-  std::vector<std::uint64_t> order_;  // FIFO eviction ring
-  std::size_t next_evict_ = 0;
+  std::vector<Item> items_;
+  std::size_t next_evict_ = 0;  // oldest item once the ring is full
 };
 
 }  // namespace athena::rtp

@@ -582,5 +582,50 @@ TEST_F(QoeTest, AudioRenderContributesOnlyMouthToEar) {
   EXPECT_TRUE(qoe_.Ssim().empty());
 }
 
+TEST_F(QoeTest, InterleavedOutOfOrderDuplicateAndUnknownIdsPinTheCdfs) {
+  auto audio_unit = [&](std::uint64_t id, sim::TimePoint captured) {
+    EncodedUnit u = Unit(id, captured);
+    u.unit.is_audio = true;
+    return u;
+  };
+  auto audio_frame = [&](std::uint64_t id, sim::TimePoint completed, sim::TimePoint rendered) {
+    RenderedFrame f = Frame(id, completed, rendered);
+    f.is_audio = true;
+    return f;
+  };
+  qoe_.OnUnitSent(Unit(1, kEpoch, 0.8));
+  qoe_.OnUnitSent(audio_unit(2, kEpoch));
+  qoe_.OnUnitSent(Unit(5, kEpoch + 66ms, 0.7));   // sent ahead of frame 3
+  qoe_.OnUnitSent(Unit(3, kEpoch + 33ms, 0.9));
+  qoe_.OnUnitSent(audio_unit(4, kEpoch + 20ms));
+  qoe_.OnUnitSent(Unit(3, kEpoch + 40ms, 0.95));  // re-sent: the later entry wins
+  qoe_.OnUnitSent(audio_unit(6, kEpoch + 40ms));
+
+  qoe_.OnFrameRendered(Frame(1, kEpoch + 50ms, kEpoch + 60ms));
+  qoe_.OnFrameRendered(audio_frame(2, kEpoch + 30ms, kEpoch + 45ms));
+  qoe_.OnFrameRendered(Frame(3, kEpoch + 95ms, kEpoch + 100ms));
+  qoe_.OnFrameRendered(audio_frame(4, kEpoch + 50ms, kEpoch + 70ms));
+  qoe_.OnFrameRendered(Frame(7, kEpoch + 120ms, kEpoch + 130ms));  // never sent
+  qoe_.OnFrameRendered(Frame(5, kEpoch + 130ms, kEpoch + 140ms));
+  qoe_.OnFrameRendered(audio_frame(8, kEpoch + 60ms, kEpoch + 65ms));  // never sent
+
+  EXPECT_EQ(qoe_.MouthToEarMs().sorted_samples(),
+            (std::vector<double>{45.0, 50.0, 60.0, 60.0, 74.0}));
+  EXPECT_EQ(qoe_.AudioMouthToEarMs().sorted_samples(), (std::vector<double>{45.0, 50.0}));
+  EXPECT_EQ(qoe_.Ssim().sorted_samples(), (std::vector<double>{0.7, 0.8, 0.95}));
+  // |(95 − 50) − (40 − 0)| and |(130 − 95) − (66 − 40)|; the unknown
+  // frame 7 neither adds a sample nor moves the reference frame.
+  const auto& jitter = qoe_.FrameJitterMs().sorted_samples();
+  ASSERT_EQ(jitter.size(), 2u);
+  EXPECT_NEAR(jitter[0], 5.0, 1e-9);
+  EXPECT_NEAR(jitter[1], 9.0, 1e-9);
+  EXPECT_EQ(qoe_.JitterHoldMs().sorted_samples(),
+            (std::vector<double>{5.0, 5.0, 10.0, 10.0, 10.0, 15.0, 20.0}));
+  EXPECT_EQ(qoe_.frames_sent(), 4u);  // every OnUnitSent counts, re-sends too
+  EXPECT_EQ(qoe_.video_frames_rendered(), 4u);
+  EXPECT_DOUBLE_EQ(qoe_.VideoDeliveryRatio(), 1.0);
+  EXPECT_DOUBLE_EQ(qoe_.AudioLossFraction(), 0.0);
+}
+
 }  // namespace
 }  // namespace athena::media

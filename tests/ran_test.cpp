@@ -8,7 +8,10 @@
 #include "ran/config.hpp"
 #include "ran/cross_traffic.hpp"
 #include "ran/grant_policy.hpp"
+#include "ran/multi_ue.hpp"
 #include "ran/uplink.hpp"
+#include "sim/check.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
 namespace athena::ran {
@@ -487,6 +490,142 @@ TEST_F(RanUplinkTest, GrantUtilizationLowWhenIdle) {
   sim_.RunUntil(kEpoch + 1s);
   // One packet against a second of proactive grants: utilization ≈ 0.
   EXPECT_LT(ran_->counters().GrantUtilization(), 0.01);
+}
+
+// ---------- MultiUeUplink ----------
+
+std::uint32_t ScanTotalBytes(const UeRadioState& state) {
+  std::uint32_t bytes = 0;
+  for (const auto& q : state.queue) bytes += q.remaining;
+  return bytes;
+}
+
+std::uint32_t ScanEligibleBytes(const UeRadioState& state, sim::TimePoint slot_time,
+                                sim::Duration processing_delay) {
+  std::uint32_t bytes = 0;
+  for (const auto& q : state.queue) {
+    if (q.enqueued_at + processing_delay <= slot_time) bytes += q.remaining;
+  }
+  return bytes;
+}
+
+UeRadioState FreshUe(std::uint64_t seed, double bler) {
+  UeRadioState state;
+  state.channel = ChannelModel{{.base_bler = bler, .rtx_bler_factor = 1.0}, sim::Rng{seed}};
+  return state;
+}
+
+TEST(MultiUeUplinkTest, BufferCountersMatchAQueueScanEverySlot) {
+  sim::Simulator sim;
+  RanConfig config = RanConfig::PaperCell();
+  config.cell_ul_capacity_bps = 6e6;  // 4 UEs offering ~8 Mbps: grants contend
+  MultiUeUplink uplink{sim, config, /*cell_tag=*/1};
+  std::uint64_t delivered = 0;
+  uplink.set_deliver_sink(
+      [&](std::uint32_t, const net::Packet&, sim::TimePoint) { ++delivered; });
+  constexpr std::uint32_t kUes = 4;
+  for (std::uint32_t ue = 0; ue < kUes; ++ue) uplink.AttachUe(ue, FreshUe(100 + ue, 0.2));
+  uplink.SetOutage(kEpoch + 400ms, kEpoch + 440ms);
+  uplink.Start();
+
+  // Each UE offers a packet at random sub-slot instants, so every slot
+  // sees a not-yet-eligible tail.
+  net::PacketIdGenerator ids;
+  sim::Rng rng{7};
+  UeRadioState parked;  // UE 2 while detached
+  bool ue2_attached = true;
+  sim::TimePoint t = kEpoch;
+  while (t < kEpoch + 1s) {
+    t += sim::Duration{rng.UniformInt(50, 600)};
+    const auto ue = static_cast<std::uint32_t>(rng.UniformInt(0, kUes - 1));
+    const auto bytes = static_cast<std::uint32_t>(rng.UniformInt(80, 1250));
+    sim.ScheduleAt(t, [&, ue, bytes] {
+      if (!uplink.HasUe(ue)) return;
+      net::Packet p;
+      p.id = ids.Next();
+      p.size_bytes = bytes;
+      uplink.SendFromUe(ue, p);
+    });
+  }
+  sim.ScheduleAt(kEpoch + 300ms + 700us, [&] {
+    parked = uplink.DetachUe(2);
+    ue2_attached = false;
+  });
+  sim.ScheduleAt(kEpoch + 360ms + 1300us, [&] {
+    uplink.AttachUe(2, std::move(parked));
+    ue2_attached = true;
+  });
+
+  // Probe just after every slot, at the slot itself and at offsets that
+  // land inside the processing-delay tail.
+  std::uint64_t probes = 0;
+  std::uint64_t nonempty_tails = 0;
+  sim::PeriodicTimer probe{sim, config.ul_slot_period, [&] {
+    const sim::TimePoint now = sim.Now();
+    for (std::uint32_t ue = 0; ue < kUes; ++ue) {
+      const UeRadioState* state = uplink.FindUe(ue);
+      if (state == nullptr) {
+        ASSERT_FALSE(ue2_attached);
+        ASSERT_EQ(ue, 2u);
+        state = &parked;  // the counter travels with a detached UE too
+      }
+      ASSERT_EQ(state->TotalBufferBytes(), ScanTotalBytes(*state)) << "ue " << ue;
+      for (const auto offset : {0us, 200us, 499us, 500us, 1000us}) {
+        const std::uint32_t eligible =
+            state->EligibleBufferBytes(now - offset, config.ue_processing_delay);
+        ASSERT_EQ(eligible, ScanEligibleBytes(*state, now - offset, config.ue_processing_delay))
+            << "ue " << ue << " offset " << offset.count();
+        if (eligible < state->TotalBufferBytes()) ++nonempty_tails;
+      }
+      ASSERT_EQ(state->offered, state->delivered + state->lost + state->in_flight.size());
+      ++probes;
+    }
+  }};
+  sim.ScheduleAt(kEpoch + 1us, [&] { probe.Start(); });
+  sim.RunUntil(kEpoch + 1200ms);
+
+  EXPECT_EQ(probes, 4u * 479);  // slots 1..479 fall before the 1.2 s cutoff
+  EXPECT_GT(nonempty_tails, 1000u);
+  EXPECT_GT(delivered, 1000u);
+  EXPECT_GT(uplink.counters().tb_rtx, 0u);
+  EXPECT_GT(uplink.counters().packets_lost, 0u);
+  // Contention: some slot left buffered bytes behind.
+  EXPECT_GT(uplink.counters().bsr_sent, 0u);
+}
+
+TEST(MultiUeValidationDeathTest, AttachAndDetachMustMatchTheAttachedSet) {
+  sim::ScopedCheckThrow guard;
+  sim::Simulator sim;
+  MultiUeUplink uplink{sim, RanConfig::PaperCell(), 1};
+  uplink.AttachUe(3, FreshUe(1, 0.0));
+  EXPECT_THROW(uplink.AttachUe(3, FreshUe(2, 0.0)), sim::CheckViolation);
+  EXPECT_THROW(static_cast<void>(uplink.DetachUe(4)), sim::CheckViolation);
+  net::Packet p;
+  p.id = 1;
+  p.size_bytes = 100;
+  EXPECT_THROW(uplink.SendFromUe(4, p), sim::CheckViolation);
+  EXPECT_NO_THROW(uplink.SendFromUe(3, p));
+  EXPECT_NO_THROW(static_cast<void>(uplink.DetachUe(3)));
+  EXPECT_THROW(static_cast<void>(uplink.DetachUe(3)), sim::CheckViolation);
+}
+
+TEST(MultiUeValidationDeathTest, SegmentBeyondUndeliveredBytesIsCaught) {
+  // A handed-over state whose ledger disagrees with its queue: the queue
+  // says 1000 bytes of packet 5 are pending, the ledger only 10.
+  sim::ScopedCheckThrow guard;
+  sim::Simulator sim;
+  MultiUeUplink uplink{sim, RanConfig::PaperCell(), 1};
+  UeRadioState state = FreshUe(1, 0.0);
+  state.queue.push_back(UeQueuedPacket{5, 1000, kEpoch});
+  state.queued_bytes = 1000;
+  net::Packet p;
+  p.id = 5;
+  p.size_bytes = 1000;
+  state.in_flight.emplace(5, UeDeliveryState{p, 10, kEpoch});
+  state.offered = 1;
+  uplink.AttachUe(0, std::move(state));
+  uplink.Start();
+  EXPECT_THROW(sim.RunUntil(kEpoch + 10ms), sim::CheckViolation);
 }
 
 }  // namespace
