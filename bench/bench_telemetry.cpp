@@ -13,8 +13,16 @@
 //      resident bytes flat (width doubling) and peak RSS within noise.
 //   3. columnar     — ATHC write and read throughput plus the
 //      write→read digest round-trip (`digest_match`).
+//   4. session_stream — the collector's per-event cost on a recorded
+//      30 s session stream: ColumnarWriter, its EventStreamDigest alone,
+//      and TimeBucketRollup, in ns/event (median of 5 passes), plus the
+//      ATHC bytes/event of that stream.
 //
-// bench/run_bench_telemetry.sh wraps this up.
+// The file is stamped with the build type, the git revision (pass
+// --git-rev=REV; bench/run_bench_telemetry.sh does) and
+// hardware_concurrency. bench/run_bench_telemetry.sh wraps this up.
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -23,6 +31,7 @@
 #include <functional>
 #include <iostream>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,13 +40,21 @@
 #include <sys/resource.h>
 #endif
 
+#include "app/session.hpp"
+#include "obs/obs.hpp"
 #include "obs/pipeline/collector.hpp"
 #include "obs/pipeline/columnar.hpp"
 #include "obs/pipeline/ring.hpp"
 #include "obs/pipeline/rollup.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_names.hpp"
+#include "sim/simulator.hpp"
 #include "sim/time.hpp"
+#include "sim/wall_clock.hpp"
+
+#ifndef ATHENA_BUILD_TYPE
+#define ATHENA_BUILD_TYPE "unknown"
+#endif
 
 namespace {
 
@@ -46,9 +63,9 @@ using namespace athena::obs;
 using namespace athena::obs::pipeline;
 
 double WallSeconds(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = sim::WallClock::now();
   fn();
-  const auto t1 = std::chrono::steady_clock::now();
+  const auto t1 = sim::WallClock::now();
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
@@ -295,15 +312,104 @@ ColumnarResult BenchColumnar(std::uint64_t events) {
   return result;
 }
 
+/// Collects a session's events, in emission order.
+class VectorSink final : public TraceSink {
+ public:
+  void Emit(const TraceEvent& event) override { events.push_back(event); }
+  std::vector<TraceEvent> events;
+};
+
+/// An ostream target that counts bytes and keeps one 64 KiB block, so
+/// the writer is timed without a growing string behind it.
+class CountingBuf final : public std::streambuf {
+ public:
+  CountingBuf() { setp(block_.data(), block_.data() + block_.size()); }
+  [[nodiscard]] std::uint64_t bytes() const {
+    return flushed_ + static_cast<std::uint64_t>(pptr() - pbase());
+  }
+
+ protected:
+  int_type overflow(int_type ch) override {
+    flushed_ += static_cast<std::uint64_t>(pptr() - pbase());
+    setp(block_.data(), block_.data() + block_.size());
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
+      *pptr() = traits_type::to_char_type(ch);
+      pbump(1);
+    }
+    return traits_type::not_eof(ch);
+  }
+
+ private:
+  std::array<char, 64 * 1024> block_{};
+  std::uint64_t flushed_ = 0;
+};
+
+struct SessionStreamResult {
+  std::size_t events = 0;
+  double writer_ns_per_event = 0.0;
+  double digest_ns_per_event = 0.0;
+  double rollup_ns_per_event = 0.0;
+  double bytes_per_event = 0.0;
+  bool digest_match = false;  ///< standalone digest == the writer's footer digest
+};
+
+SessionStreamResult BenchSessionStream(std::chrono::seconds span) {
+  VectorSink sink;
+  {
+    sim::Simulator simulator;
+    obs::ObsSession::Options options;
+    options.trace = false;
+    options.extra_sink = &sink;
+    obs::ObsSession observability{simulator, options};
+    app::SessionConfig config;
+    config.seed = 42;
+    app::Session session{simulator, config};
+    session.Run(span);
+  }
+  const std::vector<TraceEvent>& events = sink.events;
+  SessionStreamResult result;
+  result.events = events.size();
+  const auto n = static_cast<double>(events.size());
+  const auto median_ns = [&](const std::function<void()>& pass) {
+    std::vector<double> ns;
+    for (int rep = 0; rep < 5; ++rep) ns.push_back(WallSeconds(pass) * 1e9 / n);
+    std::sort(ns.begin(), ns.end());
+    return ns[ns.size() / 2];
+  };
+  std::uint64_t writer_digest = 0;
+  result.writer_ns_per_event = median_ns([&] {
+    CountingBuf buf;
+    std::ostream os{&buf};
+    ColumnarWriter writer{os};
+    writer.EmitBatch(events.data(), events.size());
+    writer.Finish();
+    writer_digest = writer.digest();
+    result.bytes_per_event = static_cast<double>(buf.bytes()) / n;
+  });
+  result.digest_ns_per_event = median_ns([&] {
+    EventStreamDigest digest;
+    for (const TraceEvent& e : events) digest.Add(e);
+    result.digest_match = digest.value() == writer_digest;
+  });
+  result.rollup_ns_per_event = median_ns([&] {
+    TimeBucketRollup rollup;
+    rollup.EmitBatch(events.data(), events.size());
+  });
+  return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_telemetry.json";
   bool smoke = false;
+  std::string git_rev = "unknown";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       smoke = true;
+    } else if (arg.rfind("--git-rev=", 0) == 0) {
+      git_rev = arg.substr(std::strlen("--git-rev="));
     } else {
       out_path = arg;
     }
@@ -335,9 +441,18 @@ int main(int argc, char** argv) {
             << " B/event, digest_match=" << (columnar.digest_match ? "yes" : "no")
             << "\n";
 
+  const SessionStreamResult stream = BenchSessionStream(std::chrono::seconds{smoke ? 5 : 30});
+  std::cout << "session_stream: " << stream.events << " events, writer "
+            << stream.writer_ns_per_event << " ns/event (digest "
+            << stream.digest_ns_per_event << "), rollup " << stream.rollup_ns_per_event
+            << " ns/event, " << stream.bytes_per_event << " B/event\n";
+
   std::ofstream os{out_path};
   os << "{\n";
   os << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
+  os << "  \"build_type\": \"" << ATHENA_BUILD_TYPE << "\",\n";
+  os << "  \"git_rev\": \"" << git_rev << "\",\n";
+  os << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency() << ",\n";
   os << "  \"ring_ingest\": {\n";
   os << "    \"producers\": " << ring.producers << ",\n";
   os << "    \"events_per_sec\": " << ring.events_per_sec << ",\n";
@@ -358,12 +473,20 @@ int main(int argc, char** argv) {
   os << "    \"read_events_per_sec\": " << columnar.read_events_per_sec << ",\n";
   os << "    \"bytes_per_event\": " << columnar.bytes_per_event << ",\n";
   os << "    \"digest_match\": " << (columnar.digest_match ? "true" : "false") << "\n";
+  os << "  },\n";
+  os << "  \"session_stream\": {\n";
+  os << "    \"events\": " << stream.events << ",\n";
+  os << "    \"writer_ns_per_event\": " << stream.writer_ns_per_event << ",\n";
+  os << "    \"digest_ns_per_event\": " << stream.digest_ns_per_event << ",\n";
+  os << "    \"rollup_ns_per_event\": " << stream.rollup_ns_per_event << ",\n";
+  os << "    \"bytes_per_event\": " << stream.bytes_per_event << ",\n";
+  os << "    \"digest_match\": " << (stream.digest_match ? "true" : "false") << "\n";
   os << "  }\n";
   os << "}\n";
   std::cout << "wrote " << out_path << "\n";
 
   // Smoke mode doubles as the CI gate: fail loudly on broken invariants.
-  if (!columnar.digest_match) return 1;
+  if (!columnar.digest_match || !stream.digest_match) return 1;
   if (rollup.memory_10x > rollup.memory_1x) return 1;
   return 0;
 }

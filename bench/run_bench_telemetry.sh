@@ -3,8 +3,10 @@
 #   - bench_telemetry — multi-producer ring-ingest throughput (and the
 #     single-ring SPSC ceiling), rollup fold rate + flat-memory proof
 #     across a 10× virtual horizon, and ATHC columnar write/read
-#     throughput with the digest round-trip check — written to
-#     BENCH_telemetry.json at the repo root.
+#     throughput with the digest round-trip check, and the per-event
+#     cost of the ATHC writer, its digest and the rollup on a recorded
+#     session stream — written to BENCH_telemetry.json at the repo root,
+#     stamped with build type, git revision and hardware_concurrency.
 #
 # Usage: bench/run_bench_telemetry.sh [build-dir] [--smoke]
 #   (default build dir: ./build; --smoke uses the reduced CI sizing)
@@ -25,5 +27,8 @@ if [ ! -d "$build_dir" ]; then
 fi
 cmake --build "$build_dir" --target bench_telemetry -j "$(nproc)"
 
+git_rev="$(git -C "$repo_root" describe --always --dirty 2>/dev/null || echo unknown)"
+
 echo "== bench_telemetry =="
-"$build_dir/bench/bench_telemetry" "$repo_root/BENCH_telemetry.json" $smoke
+"$build_dir/bench/bench_telemetry" "$repo_root/BENCH_telemetry.json" \
+  --git-rev="$git_rev" $smoke

@@ -1,6 +1,7 @@
 #include "obs/pipeline/collector.hpp"
 
 #include "obs/metrics.hpp"
+#include "sim/wall_clock.hpp"
 
 namespace athena::obs::pipeline {
 
@@ -58,7 +59,12 @@ std::size_t Collector::Sweep() {
     for (;;) {
       const std::size_t got = shard->ring.PopBatch(batch_.data(), batch_.size());
       if (got == 0) break;
+      const auto fanout_start = sim::WallClock::now();
       for (TraceSink* s : sinks_) s->EmitBatch(batch_.data(), got);
+      stats_.busy_ns += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(sim::WallClock::now() -
+                                                               fanout_start)
+              .count());
       drained += got;
       ++stats_.batches;
       if (got > stats_.max_batch) stats_.max_batch = got;
@@ -108,6 +114,10 @@ void Collector::PublishMetrics() const {
   SetGauge("pipeline.ring.shed_critical", static_cast<double>(rings.shed_critical));
   SetGauge("pipeline.ring.high_water", static_cast<double>(rings.high_water));
   SetGauge("pipeline.shards", static_cast<double>(shard_count()));
+  const auto busy_ns = static_cast<double>(stats_.busy_ns);
+  SetGauge("pipeline.collector.busy_s", busy_ns / 1e9);
+  SetGauge("pipeline.collector.ns_per_event",
+           stats_.events > 0 ? busy_ns / static_cast<double>(stats_.events) : 0.0);
 }
 
 }  // namespace athena::obs::pipeline

@@ -37,6 +37,7 @@ struct CollectorStats {
   std::uint64_t batches = 0;       ///< non-empty dequeue batches
   std::uint64_t idle_spins = 0;    ///< full sweeps that found every ring empty
   std::uint64_t max_batch = 0;     ///< largest single dequeue
+  std::uint64_t busy_ns = 0;       ///< wall time spent fanning batches out to sinks
 };
 
 class Collector {
@@ -87,7 +88,9 @@ class Collector {
   [[nodiscard]] RingStats TotalRingStats() const;
 
   /// Publishes `pipeline.*` gauges (ingested events, per-tier ring
-  /// sheds, high water) into the calling thread's MetricsRegistry.
+  /// sheds, high water, the collector's own busy time and ns/event —
+  /// when that approaches the producers' inter-event gap, the collector
+  /// is the bottleneck) into the calling thread's MetricsRegistry.
   void PublishMetrics() const;
 
  private:

@@ -1,10 +1,14 @@
 #include "obs/pipeline/columnar.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <istream>
 #include <memory>
 #include <ostream>
 #include <stdexcept>
+
+#include "sim/check.hpp"
 
 namespace athena::obs::pipeline {
 namespace {
@@ -14,14 +18,40 @@ constexpr std::uint8_t kKeyDictKind = 2;
 constexpr std::uint8_t kEventsKind = 3;
 constexpr std::uint8_t kFooterKind = 4;
 
-std::uint64_t Fnv1a(const std::uint8_t* data, std::size_t len) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+/// Smallest encoding of one event: phase, layer and arg_count bytes plus
+/// one-byte name, ts, dur and id varints.
+constexpr std::size_t kMinEventBytes = 7;
+
+std::uint64_t LoadLe64(const std::uint8_t* p) {
+  std::uint64_t w = 0;
+  std::memcpy(&w, p, sizeof w);
+  if constexpr (std::endian::native == std::endian::big) w = __builtin_bswap64(w);
+  return w;
 }
+
+/// Slot of a direct-mapped cache keyed by pointer (Fibonacci hashing, so
+/// literals packed a few bytes apart land in different slots).
+template <std::size_t kSlots>
+std::size_t PointerSlot(const char* p) {
+  static_assert(std::has_single_bit(kSlots));
+  constexpr int kShift = 64 - std::countr_zero(kSlots);
+  return static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(p)) *
+       0x9e3779b97f4a7c15ULL) >>
+      kShift);
+}
+
+/// Column order of an events block (ColumnarWriter::columns_).
+enum Column : std::size_t {
+  kPhaseCol,
+  kLayerCol,
+  kArgCountCol,
+  kNameCol,
+  kTsCol,
+  kDurCol,
+  kIdCol,
+  kArgsCol,
+};
 
 // --- LEB128 varints, zigzag for signed ---
 
@@ -50,6 +80,15 @@ void PutBytes(std::vector<std::uint8_t>& out, const void* data, std::size_t len)
   out.insert(out.end(), p, p + len);
 }
 
+void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap64(v);
+  const std::size_t at = out.size();
+  out.resize(at + sizeof v);
+  std::memcpy(out.data() + at, &v, sizeof v);
+}
+
+std::uint64_t DoubleBits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 /// Bounds-checked decode cursor over one block payload.
 struct Cursor {
   const std::uint8_t* p;
@@ -77,12 +116,11 @@ struct Cursor {
 
   std::int64_t Signed() { return Unzigzag(Varint()); }
 
-  void Raw(void* out, std::size_t len) {
-    if (static_cast<std::size_t>(end - p) < len) {
-      throw std::runtime_error("ATHC: truncated block payload");
-    }
-    std::memcpy(out, p, len);
-    p += len;
+  std::uint64_t U64() {
+    if (end - p < 8) throw std::runtime_error("ATHC: truncated block payload");
+    const std::uint64_t v = LoadLe64(p);
+    p += 8;
+    return v;
   }
 
   std::string Str() {
@@ -129,47 +167,59 @@ std::uint64_t ReadU64(std::istream& is) {
 
 }  // namespace
 
-// --- EventStreamDigest ---
-
-void EventStreamDigest::Mix(const void* data, std::size_t len) {
+std::uint64_t HashBytes(const void* data, std::size_t len) {
   const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h_ ^= p[i];
-    h_ *= 0x100000001b3ULL;
+  std::uint64_t h = kMixSeed;
+  std::size_t i = 0;
+  for (; i + 8 <= len; i += 8) h = MixWord(h, LoadLe64(p + i));
+  std::uint64_t tail = 0;
+  for (std::size_t b = 0; i + b < len; ++b) {
+    tail |= static_cast<std::uint64_t>(p[i + b]) << (8 * b);
   }
+  return MixWord(MixWord(h, tail), len);
 }
 
-void EventStreamDigest::MixU64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h_ ^= static_cast<std::uint8_t>(v >> (8 * i));
-    h_ *= 0x100000001b3ULL;
+// --- EventStreamDigest ---
+
+std::uint64_t EventStreamDigest::NameHash(NameId id) {
+  if (id < name_hashes_.size() && name_hashes_[id] != 0) return name_hashes_[id];
+  const std::string text = TraceNameRegistry::Instance().NameOf(id);
+  const std::uint64_t h = HashBytes(text.data(), text.size());
+  if (id >= name_hashes_.size()) {
+    // Registry ids are dense; an id past the registry is hashed but not
+    // cached, so a bogus id cannot size the table.
+    const std::size_t known = TraceNameRegistry::Instance().size();
+    if (id >= known) return h;
+    name_hashes_.resize(known, 0);
   }
+  name_hashes_[id] = h;
+  return h;
+}
+
+std::uint64_t EventStreamDigest::KeyHash(const char* key) {
+  KeySlot& slot = key_hashes_[PointerSlot<kKeySlots>(key)];
+  if (slot.key != key) slot = {key, HashBytes(key, std::strlen(key))};
+  return slot.hash;
 }
 
 void EventStreamDigest::Add(const TraceEvent& event) {
-  const std::string name = event.name_text();
-  MixU64(name.size());
-  Mix(name.data(), name.size());
-  MixU64(static_cast<std::uint64_t>(event.phase));
-  MixU64(static_cast<std::uint64_t>(event.layer));
-  MixU64(static_cast<std::uint64_t>(event.ts.us()));
-  MixU64(static_cast<std::uint64_t>(event.dur.count()));
-  MixU64(event.id);
-  MixU64(event.arg_count);
+  std::uint64_t h = MixWord(h_, NameHash(event.name));
+  h = MixWord(h, static_cast<std::uint64_t>(static_cast<std::uint8_t>(event.phase)) |
+                     static_cast<std::uint64_t>(event.layer) << 8 |
+                     static_cast<std::uint64_t>(event.arg_count) << 16);
+  h = MixWord(h, static_cast<std::uint64_t>(event.ts.us()));
+  h = MixWord(h, static_cast<std::uint64_t>(event.dur.count()));
+  h = MixWord(h, event.id);
   for (std::size_t i = 0; i < event.arg_count; ++i) {
-    const std::size_t klen = std::strlen(event.args[i].key);
-    MixU64(klen);
-    Mix(event.args[i].key, klen);
-    std::uint64_t bits;
-    std::memcpy(&bits, &event.args[i].value, sizeof bits);
-    MixU64(bits);
+    h = MixWord(h, KeyHash(event.args[i].key));
+    h = MixWord(h, DoubleBits(event.args[i].value));
   }
+  h_ = h;
 }
 
 // --- ColumnarWriter ---
 
 ColumnarWriter::ColumnarWriter(std::ostream& os) : os_(os) {
-  buffer_.reserve(kBlockEvents);
   os_.write(kColumnarMagic, sizeof kColumnarMagic);
   WriteU32(os_, kColumnarVersion);
 }
@@ -178,106 +228,115 @@ ColumnarWriter::~ColumnarWriter() { Finish(); }
 
 void ColumnarWriter::Emit(const TraceEvent& event) {
   digest_.Add(event);
-  buffer_.push_back(event);
-  if (buffer_.size() == kBlockEvents) FlushBlock();
+  if (FirstSighting(event.name)) new_names_.push_back(event.name);
+  // ts and id are deltas vs the previous event in the block, wrapping in
+  // unsigned arithmetic; the first ts delta is vs base_ts (its own ts),
+  // i.e. zero, and the first id delta is vs 0.
+  const auto ts = static_cast<std::uint64_t>(event.ts.us());
+  if (block_events_ == 0) {
+    block_base_ts_ = event.ts.us();
+    prev_ts_ = ts;
+    prev_id_ = 0;
+  }
+  columns_[kPhaseCol].push_back(static_cast<std::uint8_t>(event.phase));
+  columns_[kLayerCol].push_back(static_cast<std::uint8_t>(event.layer));
+  columns_[kArgCountCol].push_back(event.arg_count);
+  PutVarint(columns_[kNameCol], event.name);
+  PutSigned(columns_[kTsCol], static_cast<std::int64_t>(ts - prev_ts_));
+  PutSigned(columns_[kDurCol], event.dur.count());
+  PutSigned(columns_[kIdCol], static_cast<std::int64_t>(event.id - prev_id_));
+  prev_ts_ = ts;
+  prev_id_ = event.id;
+  for (std::size_t i = 0; i < event.arg_count; ++i) {
+    PutVarint(columns_[kArgsCol], KeyId(event.args[i].key));
+    PutU64(columns_[kArgsCol], DoubleBits(event.args[i].value));
+  }
+  if (++block_events_ == kBlockEvents) FlushBlock();
 }
 
 void ColumnarWriter::EmitBatch(const TraceEvent* events, std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) Emit(events[i]);
 }
 
+bool ColumnarWriter::FirstSighting(NameId id) {
+  if (id >= names_seen_.size()) {
+    // Registry ids are dense, so the table tracks the registry's size.
+    // An id past the registry is re-declared on every sighting rather
+    // than letting a bogus id size the table.
+    const std::size_t known = TraceNameRegistry::Instance().size();
+    if (id >= known) return true;
+    names_seen_.resize(known, 0);
+  }
+  if (names_seen_[id] != 0) return false;
+  names_seen_[id] = 1;
+  return true;
+}
+
+std::uint32_t ColumnarWriter::KeyId(const char* key) {
+  KeySlot& slot = key_cache_[PointerSlot<kKeySlots>(key)];
+  if (slot.key == key) return slot.id;
+  // Ids are assigned by text, so the same text behind two pointers
+  // shares one id and one dictionary entry.
+  const auto [it, inserted] =
+      key_ids_.try_emplace(key, static_cast<std::uint32_t>(key_ids_.size()));
+  if (inserted) new_keys_.emplace_back(it->second, it->first.c_str());
+  slot = {key, it->second};
+  return it->second;
+}
+
 void ColumnarWriter::WriteBlock(std::uint8_t kind,
                                 const std::vector<std::uint8_t>& payload) {
+  ATHENA_CHECK(payload.size() <= kMaxBlockBytes, "ATHC block exceeds kMaxBlockBytes");
   os_.put(static_cast<char>(kind));
   WriteU32(os_, static_cast<std::uint32_t>(payload.size()));
-  WriteU64(os_, Fnv1a(payload.data(), payload.size()));
+  WriteU64(os_, HashBytes(payload.data(), payload.size()));
   os_.write(reinterpret_cast<const char*>(payload.data()),
             static_cast<std::streamsize>(payload.size()));
   ++blocks_written_;
 }
 
 void ColumnarWriter::EmitDictionaries() {
-  // Names first seen in this batch. File ids reuse the process NameId —
-  // registry ids are dense and small, so varints stay short.
-  std::vector<NameId> new_names;
-  std::vector<std::pair<std::uint32_t, const char*>> new_keys;
-  for (const TraceEvent& e : buffer_) {
-    if (names_seen_.try_emplace(e.name, true).second) new_names.push_back(e.name);
-    for (std::size_t i = 0; i < e.arg_count; ++i) {
-      const auto [it, inserted] = key_ids_.try_emplace(
-          e.args[i].key, static_cast<std::uint32_t>(key_ids_.size()));
-      if (inserted) new_keys.emplace_back(it->second, it->first.c_str());
-    }
-  }
-  if (!new_names.empty()) {
+  // File name ids reuse the process NameId — registry ids are dense and
+  // small, so varints stay short.
+  if (!new_names_.empty()) {
     payload_.clear();
-    PutVarint(payload_, new_names.size());
-    for (NameId id : new_names) {
+    PutVarint(payload_, new_names_.size());
+    for (NameId id : new_names_) {
       const std::string text = TraceNameRegistry::Instance().NameOf(id);
       PutVarint(payload_, id);
       PutVarint(payload_, text.size());
       PutBytes(payload_, text.data(), text.size());
     }
     WriteBlock(kNameDictKind, payload_);
+    new_names_.clear();
   }
-  if (!new_keys.empty()) {
+  if (!new_keys_.empty()) {
     payload_.clear();
-    PutVarint(payload_, new_keys.size());
-    for (const auto& [id, text] : new_keys) {
+    PutVarint(payload_, new_keys_.size());
+    for (const auto& [id, text] : new_keys_) {
       const std::size_t len = std::strlen(text);
       PutVarint(payload_, id);
       PutVarint(payload_, len);
       PutBytes(payload_, text, len);
     }
     WriteBlock(kKeyDictKind, payload_);
+    new_keys_.clear();
   }
 }
 
 void ColumnarWriter::FlushBlock() {
-  if (buffer_.empty()) return;
+  if (block_events_ == 0) return;
   EmitDictionaries();
-
   payload_.clear();
-  const std::size_t n = buffer_.size();
-  PutVarint(payload_, n);
-  PutSigned(payload_, buffer_.front().ts.us());
-
-  for (const TraceEvent& e : buffer_) {
-    payload_.push_back(static_cast<std::uint8_t>(e.phase));
+  PutVarint(payload_, block_events_);
+  PutSigned(payload_, block_base_ts_);
+  for (std::vector<std::uint8_t>& column : columns_) {
+    payload_.insert(payload_.end(), column.begin(), column.end());
+    column.clear();
   }
-  for (const TraceEvent& e : buffer_) {
-    payload_.push_back(static_cast<std::uint8_t>(e.layer));
-  }
-  for (const TraceEvent& e : buffer_) payload_.push_back(e.arg_count);
-  for (const TraceEvent& e : buffer_) PutVarint(payload_, e.name);
-  std::int64_t prev_ts = buffer_.front().ts.us();
-  bool first = true;
-  for (const TraceEvent& e : buffer_) {
-    // First delta is vs base_ts (== its own ts), i.e. zero: one byte.
-    PutSigned(payload_, e.ts.us() - (first ? e.ts.us() : prev_ts));
-    prev_ts = e.ts.us();
-    first = false;
-  }
-  for (const TraceEvent& e : buffer_) PutSigned(payload_, e.dur.count());
-  std::uint64_t prev_id = 0;
-  for (const TraceEvent& e : buffer_) {
-    PutSigned(payload_, static_cast<std::int64_t>(e.id - prev_id));
-    prev_id = e.id;
-  }
-  for (const TraceEvent& e : buffer_) {
-    for (std::size_t i = 0; i < e.arg_count; ++i) {
-      PutVarint(payload_, key_ids_.find(e.args[i].key)->second);
-      std::uint64_t bits;
-      std::memcpy(&bits, &e.args[i].value, sizeof bits);
-      std::uint8_t raw[8];
-      for (int b = 0; b < 8; ++b) raw[b] = static_cast<std::uint8_t>(bits >> (8 * b));
-      PutBytes(payload_, raw, 8);
-    }
-  }
-
   WriteBlock(kEventsKind, payload_);
-  events_written_ += n;
-  buffer_.clear();
+  events_written_ += block_events_;
+  block_events_ = 0;
 }
 
 void ColumnarWriter::Finish() {
@@ -286,11 +345,7 @@ void ColumnarWriter::Finish() {
   FlushBlock();
   payload_.clear();
   PutVarint(payload_, events_written_);
-  std::uint8_t raw[8];
-  for (int b = 0; b < 8; ++b) {
-    raw[b] = static_cast<std::uint8_t>(digest_.value() >> (8 * b));
-  }
-  PutBytes(payload_, raw, 8);
+  PutU64(payload_, digest_.value());
   WriteBlock(kFooterKind, payload_);
   os_.flush();
 }
@@ -314,11 +369,23 @@ std::uint8_t ColumnarReader::ReadBlock(std::vector<std::uint8_t>& payload) {
   if (kind_ch == std::istream::traits_type::eof()) return 0;
   const auto kind = static_cast<std::uint8_t>(kind_ch);
   const std::uint32_t bytes = ReadU32(is_);
+  if (bytes > kMaxBlockBytes) {
+    throw std::runtime_error("ATHC: block length " + std::to_string(bytes) +
+                             " exceeds the format maximum");
+  }
   const std::uint64_t checksum = ReadU64(is_);
-  payload.resize(bytes);
-  is_.read(reinterpret_cast<char*>(payload.data()), bytes);
-  if (!is_) throw std::runtime_error("ATHC: truncated block");
-  if (Fnv1a(payload.data(), payload.size()) != checksum) {
+  // Grow with the bytes that actually arrive: a length field inflated
+  // within the maximum costs at most one chunk past the stream's end.
+  constexpr std::size_t kReadChunk = 64 * 1024;
+  payload.clear();
+  while (payload.size() < bytes) {
+    const std::size_t at = payload.size();
+    const std::size_t len = std::min<std::size_t>(bytes - at, kReadChunk);
+    payload.resize(at + len);
+    is_.read(reinterpret_cast<char*>(payload.data() + at), static_cast<std::streamsize>(len));
+    if (!is_) throw std::runtime_error("ATHC: truncated block");
+  }
+  if (HashBytes(payload.data(), payload.size()) != checksum) {
     throw std::runtime_error("ATHC: block checksum mismatch (corrupt trace)");
   }
   return kind;
@@ -352,6 +419,11 @@ bool ColumnarReader::NextBlock(std::vector<TraceEvent>& out) {
       case kEventsKind: {
         const std::uint64_t n = c.Varint();
         const std::int64_t base_ts = c.Signed();
+        if (n > ColumnarWriter::kBlockEvents ||
+            n > static_cast<std::uint64_t>(c.end - c.p) / kMinEventBytes) {
+          throw std::runtime_error("ATHC: events block count " + std::to_string(n) +
+                                   " exceeds its payload");
+        }
         out.resize(n);
         for (auto& e : out) e.phase = static_cast<TraceEvent::Phase>(c.U8());
         for (auto& e : out) {
@@ -369,13 +441,12 @@ bool ColumnarReader::NextBlock(std::vector<TraceEvent>& out) {
           if (it == names_.end()) throw std::runtime_error("ATHC: undefined name id");
           e.name = it->second;
         }
-        std::int64_t ts = base_ts;
-        bool first = true;
+        // Hostile deltas wrap in unsigned arithmetic instead of
+        // overflowing a signed accumulator.
+        auto ts = static_cast<std::uint64_t>(base_ts);
         for (auto& e : out) {
-          const std::int64_t delta = c.Signed();
-          ts = first ? base_ts + delta : ts + delta;
-          first = false;
-          e.ts = sim::kEpoch + sim::Duration{ts};
+          ts += static_cast<std::uint64_t>(c.Signed());
+          e.ts = sim::kEpoch + sim::Duration{static_cast<std::int64_t>(ts)};
         }
         for (auto& e : out) e.dur = sim::Duration{c.Signed()};
         std::uint64_t id = 0;
@@ -388,13 +459,7 @@ bool ColumnarReader::NextBlock(std::vector<TraceEvent>& out) {
             const auto key_id = static_cast<std::uint32_t>(c.Varint());
             const auto it = keys_.find(key_id);
             if (it == keys_.end()) throw std::runtime_error("ATHC: undefined key id");
-            std::uint8_t raw[8];
-            c.Raw(raw, 8);
-            std::uint64_t bits = 0;
-            for (int b = 0; b < 8; ++b) bits |= static_cast<std::uint64_t>(raw[b]) << (8 * b);
-            double value;
-            std::memcpy(&value, &bits, sizeof value);
-            e.args[i] = TraceArg{it->second, value};
+            e.args[i] = TraceArg{it->second, std::bit_cast<double>(c.U64())};
           }
         }
         if (!c.done()) throw std::runtime_error("ATHC: trailing bytes in events block");
@@ -404,12 +469,7 @@ bool ColumnarReader::NextBlock(std::vector<TraceEvent>& out) {
       }
       case kFooterKind: {
         footer_.event_count = c.Varint();
-        std::uint8_t raw[8];
-        c.Raw(raw, 8);
-        footer_.digest = 0;
-        for (int b = 0; b < 8; ++b) {
-          footer_.digest |= static_cast<std::uint64_t>(raw[b]) << (8 * b);
-        }
+        footer_.digest = c.U64();
         footer_.present = true;
         return false;
       }

@@ -131,8 +131,21 @@ TimeBucketRollup::TimeBucketRollup(Options options) : options_(options) {
 }
 
 TimeBucketRollup::Series& TimeBucketRollup::SeriesFor(SeriesKey key) {
+  const auto layer = static_cast<std::size_t>(key.layer);
+  const std::size_t slot = static_cast<std::size_t>(key.name) * kLayerCount + layer;
+  const bool indexed = layer < kLayerCount;
+  if (indexed && slot < index_.size() && index_[slot] != nullptr) return *index_[slot];
   auto [it, inserted] = series_.try_emplace(key);
   if (inserted) it->second.width = options_.bucket_width;
+  if (!indexed) return it->second;
+  if (slot >= index_.size()) {
+    // Registry ids are dense, so the index tracks the registry's size; a
+    // name past the registry stays map-only rather than sizing the index.
+    const std::size_t known = TraceNameRegistry::Instance().size();
+    if (key.name >= known) return it->second;
+    index_.resize(known * kLayerCount, nullptr);
+  }
+  index_[slot] = &it->second;
   return it->second;
 }
 

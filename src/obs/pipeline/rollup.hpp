@@ -98,6 +98,11 @@ class TimeBucketRollup final : public TraceSink {
   TimeBucketRollup() : TimeBucketRollup(Options{}) {}
   explicit TimeBucketRollup(Options options);
 
+  // The series index points into series_: a copy would alias the
+  // source's nodes.
+  TimeBucketRollup(const TimeBucketRollup&) = delete;
+  TimeBucketRollup& operator=(const TimeBucketRollup&) = delete;
+
   void Emit(const TraceEvent& event) override;
   void EmitBatch(const TraceEvent* events, std::size_t count) override;
 
@@ -139,6 +144,10 @@ class TimeBucketRollup final : public TraceSink {
 
   Options options_;
   std::map<SeriesKey, Series> series_;
+  /// Flat index in front of series_, by name * kLayerCount + layer: the
+  /// per-event lookup is one load. Map nodes never move, and every
+  /// output still walks series_ in key order.
+  std::vector<Series*> index_;
   std::uint64_t events_folded_ = 0;
   std::uint64_t rescales_ = 0;
 };

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 
+#include "sim/wall_clock.hpp"
+
 namespace athena::sim {
 
 void Simulator::RunUntil(TimePoint deadline) {
@@ -24,7 +26,6 @@ void Simulator::RunUntil(TimePoint deadline) {
 }
 
 void Simulator::RunUntilInstrumented(TimePoint deadline) {
-  using WallClock = std::chrono::steady_clock;
   const TimePoint virtual_begin = now_;
   const auto run_start = WallClock::now();
   const std::uint64_t executed_at_entry = executed_;

@@ -1,6 +1,7 @@
 // Tests for the fleet telemetry ingest pipeline (src/obs/pipeline/):
 // SPSC rings and priority-aware backpressure, the collector topology,
-// the ATHC columnar format round-trip, time-bucketed rollups with
+// the ATHC columnar format (round-trip, pinned encoding, digest
+// sensitivity, seeded hostile-input mutation), time-bucketed rollups with
 // bounded-memory width doubling, sharded Prometheus export, chunked
 // Perfetto emission, and the interaction between ring backpressure and
 // the resilience/ byte budgets.
@@ -14,6 +15,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -189,6 +191,28 @@ TEST(Collector, BackgroundThreadDeliversEverything) {
   EXPECT_EQ(rollup.events_folded(), collector.stats().events);
 }
 
+TEST(Collector, PublishesItsOwnBusyTime) {
+  MetricsRegistry registry;
+  ScopedMetrics metrics_scope{&registry};
+  Collector collector{{.ring_capacity = 1 << 12, .drain_batch = 256}};
+  TimeBucketRollup rollup;
+  collector.AddSink(&rollup);
+  RingTraceSink* sink = collector.AddShard();
+  for (int i = 0; i < 2000; ++i) sink->Emit(MakeEvent(names::kPktHop, i, 1.0));
+  sink->Flush();
+  collector.Stop();
+  collector.PublishMetrics();
+
+  EXPECT_EQ(collector.stats().events, 2000u);
+  EXPECT_GT(collector.stats().busy_ns, 0u);
+  for (const char* gauge : {"pipeline.collector.busy_s", "pipeline.collector.ns_per_event"}) {
+    ASSERT_TRUE(registry.gauges().contains(gauge)) << gauge;
+    EXPECT_GT(registry.GaugeValue(gauge), 0.0) << gauge;
+  }
+  EXPECT_DOUBLE_EQ(registry.GaugeValue("pipeline.collector.ns_per_event"),
+                   static_cast<double>(collector.stats().busy_ns) / 2000.0);
+}
+
 // --- Columnar format ---
 
 std::vector<TraceEvent> MixedEvents(int n) {
@@ -298,6 +322,296 @@ TEST(Columnar, ReaderRejectsTruncation) {
       std::runtime_error);
 }
 
+/// Collects every event it sees, in arrival order.
+class VectorSink final : public TraceSink {
+ public:
+  void Emit(const TraceEvent& event) override { events.push_back(event); }
+  std::vector<TraceEvent> events;
+};
+
+/// Every event a seeded default session emits over `span`. The stream's
+/// NameIds are this process's registry ids: the static names, then the
+/// capture-point labels the first session in the process interns.
+std::vector<TraceEvent> SessionStream(std::uint64_t seed, sim::Duration span) {
+  VectorSink sink;
+  sim::Simulator simulator;
+  {
+    obs::ObsSession::Options obs_options;
+    obs_options.trace = false;
+    obs_options.extra_sink = &sink;
+    obs::ObsSession observability{simulator, obs_options};
+    app::SessionConfig config;
+    config.seed = seed;
+    app::Session session{simulator, config};
+    session.Run(span);
+  }
+  return std::move(sink.events);
+}
+
+std::string WriteAthc(const std::vector<TraceEvent>& events) {
+  std::ostringstream out;
+  ColumnarWriter writer{out};
+  writer.EmitBatch(events.data(), events.size());
+  writer.Finish();
+  return out.str();
+}
+
+/// Byte-at-a-time FNV-1a, independent of the code under test.
+std::uint64_t TestFnv(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// One block of an ATHC stream: where its header starts and its payload.
+struct AthcBlock {
+  std::uint8_t kind = 0;
+  std::size_t at = 0;  ///< offset of the kind byte
+  std::string payload;
+};
+
+std::uint32_t LoadU32(const std::string& bytes, std::size_t at) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at + i])) << (8 * i);
+  }
+  return v;
+}
+
+/// Splits a well-formed stream into its blocks (after the 8-byte header).
+std::vector<AthcBlock> SplitBlocks(const std::string& bytes) {
+  std::vector<AthcBlock> blocks;
+  std::size_t at = 8;
+  while (at < bytes.size()) {
+    const std::uint32_t len = LoadU32(bytes, at + 1);
+    blocks.push_back({static_cast<std::uint8_t>(bytes[at]), at, bytes.substr(at + 13, len)});
+    at += 13 + len;
+  }
+  return blocks;
+}
+
+// Column encoding and dictionaries are part of the format: a seeded
+// session stream must encode to exactly these payload bytes. Only the
+// header version, block checksums and footer digest may differ between
+// ATHC versions.
+TEST(Columnar, SessionStreamPayloadBytesArePinned) {
+  const std::vector<TraceEvent> events = SessionStream(42, 2s);
+  std::string dicts;
+  std::string columns;
+  for (const AthcBlock& block : SplitBlocks(WriteAthc(events))) {
+    if (block.kind == 1 || block.kind == 2) dicts += block.payload;
+    if (block.kind == 3) columns += block.payload;
+  }
+  // Values produced by the version 1 writer.
+  EXPECT_EQ(events.size(), 5630u);
+  EXPECT_EQ(dicts.size(), 355u);
+  EXPECT_EQ(TestFnv(dicts), 14447349869752743899ULL);
+  EXPECT_EQ(columns.size(), 135733u);
+  EXPECT_EQ(TestFnv(columns), 11199005691441773653ULL);
+}
+
+std::uint64_t DigestOf(const std::vector<TraceEvent>& events) {
+  EventStreamDigest digest;
+  for (const TraceEvent& e : events) digest.Add(e);
+  return digest.value();
+}
+
+TEST(ColumnarDigest, EverySingleFieldChangeChangesTheDigest) {
+  TraceEvent base;
+  base.phase = TraceEvent::Phase::kComplete;
+  base.layer = Layer::kRan;
+  base.name = names::kRanTransit.id;
+  base.ts = sim::kEpoch + 1000us;
+  base.dur = 50us;
+  base.id = 7;
+  base.args[0] = TraceArg{"bytes", 1200.0};
+  base.args[1] = TraceArg{"harq", 1.0};
+  base.arg_count = 2;
+  const TraceEvent neighbour = MakeEvent(names::kPktHop, 2000, 3.0);
+  const std::uint64_t reference = DigestOf({base, neighbour});
+
+  const auto expect_changed = [&](const char* field, auto mutate) {
+    TraceEvent e = base;
+    mutate(e);
+    EXPECT_NE(DigestOf({e, neighbour}), reference) << field;
+  };
+  expect_changed("name", [](TraceEvent& e) { e.name = names::kTbTx.id; });
+  expect_changed("phase", [](TraceEvent& e) { e.phase = TraceEvent::Phase::kInstant; });
+  expect_changed("layer", [](TraceEvent& e) { e.layer = Layer::kNet; });
+  expect_changed("ts", [](TraceEvent& e) { e.ts = e.ts + 1us; });
+  expect_changed("dur", [](TraceEvent& e) { e.dur = 51us; });
+  expect_changed("id", [](TraceEvent& e) { e.id = 8; });
+  expect_changed("arg_count", [](TraceEvent& e) { e.arg_count = 1; });
+  expect_changed("arg key", [](TraceEvent& e) { e.args[1].key = "harx"; });
+  expect_changed("arg value", [](TraceEvent& e) { e.args[0].value = 1201.0; });
+  expect_changed("arg value sign", [](TraceEvent& e) { e.args[1].value = -1.0; });
+  EXPECT_NE(DigestOf({neighbour, base}), reference) << "re-ordered pair";
+
+  // Keys digest by text, not by pointer: a copy of the literal matches.
+  char bytes_copy[] = "bytes";
+  TraceEvent same_text = base;
+  same_text.args[0].key = bytes_copy;
+  EXPECT_EQ(DigestOf({same_text, neighbour}), reference);
+}
+
+/// Rebuilds `bytes` with `block`'s payload replaced, its length field and
+/// checksum made consistent — a hostile payload the framing accepts.
+std::string WithPayload(const std::string& bytes, const AthcBlock& block,
+                        const std::string& payload) {
+  std::string header(13, '\0');
+  header[0] = static_cast<char>(block.kind);
+  const auto len = static_cast<std::uint32_t>(payload.size());
+  const std::uint64_t checksum = HashBytes(payload.data(), payload.size());
+  for (int i = 0; i < 4; ++i) header[1 + i] = static_cast<char>(len >> (8 * i));
+  for (int i = 0; i < 8; ++i) header[5 + i] = static_cast<char>(checksum >> (8 * i));
+  return bytes.substr(0, block.at) + header + payload +
+         bytes.substr(block.at + 13 + block.payload.size());
+}
+
+void SetU32(std::string& bytes, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) bytes[at + i] = static_cast<char>(v >> (8 * i));
+}
+
+/// Reads a whole stream: true when it decodes and the footer verifies,
+/// false on std::runtime_error. Any other exception fails the test.
+bool ReadsVerified(const std::string& bytes) {
+  std::istringstream in{bytes};
+  try {
+    ColumnarReader reader{in};
+    reader.ForEach([](const TraceEvent&) {});
+    return true;
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+}
+
+std::string ReadError(const std::string& bytes) {
+  std::istringstream in{bytes};
+  try {
+    ColumnarReader reader{in};
+    reader.ForEach([](const TraceEvent&) {});
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Columnar, ReaderRejectsVersion1Stream) {
+  std::string bytes = WriteAthc(MixedEvents(100));
+  ASSERT_TRUE(ReadsVerified(bytes));
+  SetU32(bytes, 4, 1);
+  EXPECT_NE(ReadError(bytes).find("unsupported version 1"), std::string::npos)
+      << ReadError(bytes);
+}
+
+// A block length is bounds-checked before the reader allocates: past the
+// format maximum it is rejected outright, and within it the payload only
+// grows with bytes that actually arrive.
+TEST(Columnar, ReaderRejectsInflatedBlockLength) {
+  const std::string bytes = WriteAthc(MixedEvents(1000));
+  const AthcBlock first = SplitBlocks(bytes).front();
+  std::string huge = bytes;
+  SetU32(huge, first.at + 1, 0xffffffffu);
+  EXPECT_NE(ReadError(huge).find("exceeds the format maximum"), std::string::npos)
+      << ReadError(huge);
+  std::string past_end = bytes;
+  SetU32(past_end, first.at + 1, kMaxBlockBytes);
+  EXPECT_NE(ReadError(past_end).find("truncated"), std::string::npos) << ReadError(past_end);
+}
+
+// The events count is checked against the block cap and against what the
+// remaining payload can hold (7 bytes per event at least), before the
+// event vector is sized.
+TEST(Columnar, ReaderRejectsInflatedEventCount) {
+  const std::string bytes = WriteAthc(MixedEvents(10));
+  const auto events_block = [](const std::string& stream) {
+    for (const AthcBlock& b : SplitBlocks(stream)) {
+      if (b.kind == 3) return b;
+    }
+    return AthcBlock{};
+  };
+  const AthcBlock block = events_block(bytes);
+  ASSERT_EQ(block.kind, 3);
+  ASSERT_EQ(block.payload[0], 10);  // one-byte varint n
+  for (const std::uint64_t n : {std::uint64_t{1} << 40, std::uint64_t{4096}}) {
+    std::string varint;
+    for (std::uint64_t v = n; ; v >>= 7) {
+      if (v < 0x80) {
+        varint += static_cast<char>(v);
+        break;
+      }
+      varint += static_cast<char>((v & 0x7f) | 0x80);
+    }
+    const std::string hostile = WithPayload(bytes, block, varint + block.payload.substr(1));
+    EXPECT_NE(ReadError(hostile).find("exceeds its payload"), std::string::npos)
+        << "n=" << n << ": " << ReadError(hostile);
+  }
+}
+
+// Seeded mutation fuzzing of a real session's stream: every mutant must
+// either read with a verified footer or throw std::runtime_error — never
+// crash, hang, over-allocate or throw anything else (run under the
+// ASan/UBSan matrix too). Resealed mutants carry a valid checksum, so
+// they reach the decoder instead of stopping at the block check.
+TEST(ColumnarMutation, SeededMutantsVerifyOrThrowRuntimeError) {
+  const std::string original = WriteAthc(SessionStream(42, 2s));
+  const std::string other = WriteAthc(SessionStream(43, 1s));
+  const std::vector<AthcBlock> blocks = SplitBlocks(original);
+  ASSERT_TRUE(ReadsVerified(original));
+  ASSERT_TRUE(ReadsVerified(other));
+
+  std::mt19937_64 rng{20241017};
+  const auto below = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  constexpr int kIterations = 4000;
+  int verified = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    std::string mutant = original;
+    bool must_fail = true;
+    const AthcBlock& block = blocks[below(blocks.size())];
+    switch (i % 5) {
+      case 0:  // bit flips anywhere
+        for (std::size_t k = 1 + below(4); k > 0; --k) {
+          mutant[below(mutant.size())] ^= static_cast<char>(1 << below(8));
+        }
+        break;
+      case 1:  // truncation
+        mutant.resize(below(mutant.size()));
+        break;
+      case 2:  // splice two streams at arbitrary offsets
+        mutant = original.substr(0, below(original.size())) +
+                 other.substr(below(other.size()));
+        must_fail = false;
+        break;
+      case 3: {  // length-field inflation, within and past the maximum
+        const std::uint64_t len = block.payload.size();
+        const std::uint64_t room = (i % 2 == 0 ? kMaxBlockBytes : 0xffffffffULL) - len;
+        SetU32(mutant, block.at + 1, static_cast<std::uint32_t>(len + 1 + rng() % room));
+        break;
+      }
+      default: {  // payload bit flips behind a valid checksum
+        if (block.payload.empty()) continue;
+        std::string payload = block.payload;
+        for (std::size_t k = 1 + below(3); k > 0; --k) {
+          payload[below(payload.size())] ^= static_cast<char>(1 << below(8));
+        }
+        mutant = WithPayload(original, block, payload);
+        must_fail = false;
+        break;
+      }
+    }
+    const bool ok = ReadsVerified(mutant);
+    if (ok) ++verified;
+    if (must_fail && mutant != original) {
+      EXPECT_FALSE(ok) << "iteration " << i << " verified a corrupt stream";
+    }
+  }
+  // A splice may rebuild a valid stream; nearly every mutant is rejected.
+  EXPECT_LT(verified, kIterations / 10);
+}
+
 // --- QuantileSketch ---
 
 TEST(QuantileSketch, BoundedRelativeError) {
@@ -394,6 +708,16 @@ TEST(Rollup, MergeMatchesSingleInstance) {
   single.WriteCsv(a);
   left.WriteCsv(b);
   EXPECT_EQ(a.str(), b.str());
+}
+
+TEST(Rollup, SessionWriteJsonBytesArePinned) {
+  TimeBucketRollup rollup;
+  for (const TraceEvent& e : SessionStream(42, 2s)) rollup.Emit(e);
+  std::ostringstream os;
+  rollup.WriteJson(os);
+  // Series lookup must not change output bytes or series order.
+  EXPECT_EQ(os.str().size(), 33780u);
+  EXPECT_EQ(TestFnv(os.str()), 1859276534729300129ULL);
 }
 
 // --- prom_text + sharded export ---
