@@ -242,6 +242,16 @@ std::vector<ChaosScenario> BuiltinScenarios() {
   return all;
 }
 
+app::SessionConfig ScenarioSessionConfig(const ChaosScenario& scenario, std::uint64_t seed) {
+  app::SessionConfig config;
+  config.seed = seed;
+  if (scenario.cross_mbps > 0.0) {
+    config.cross_traffic = net::CapacityTrace{scenario.cross_mbps * 1e6};
+    config.cross_burstiness = 0.35;
+  }
+  return config;
+}
+
 const ChaosScenario* FindScenario(const std::vector<ChaosScenario>& scenarios,
                                   std::string_view name) {
   for (const auto& s : scenarios) {
@@ -306,13 +316,7 @@ void ReplayIntoBank(const core::CorrelatorInput& input, obs::live::DetectorBank&
 obs::fleet::SessionSummary SummarizePlainRun(const ChaosScenario& scenario,
                                              std::uint64_t seed) {
   sim::Simulator simulator;
-  app::SessionConfig config;
-  config.seed = seed;
-  if (scenario.cross_mbps > 0.0) {
-    config.cross_traffic = net::CapacityTrace{scenario.cross_mbps * 1e6};
-    config.cross_burstiness = 0.35;
-  }
-  app::Session session{simulator, config};
+  app::Session session{simulator, ScenarioSessionConfig(scenario, seed)};
   session.Run(scenario.duration);
   const core::CorrelatorInput input = session.BuildCorrelatorInput();
   const core::CrossLayerDataset data = core::Correlator::Correlate(input);
@@ -341,11 +345,7 @@ ChaosOutcome RunSupervisedScenario(const ChaosScenario& scenario, std::uint64_t 
     obs::ScopedMetrics metrics_scope{&registry};
 
     resilience::RunPlan plan;
-    plan.config.seed = seed;
-    if (scenario.cross_mbps > 0.0) {
-      plan.config.cross_traffic = net::CapacityTrace{scenario.cross_mbps * 1e6};
-      plan.config.cross_burstiness = 0.35;
-    }
+    plan.config = ScenarioSessionConfig(scenario, seed);
     plan.duration = scenario.duration;
     plan.checkpoint_every = 250ms;
     plan.budget = scenario.budget;
@@ -362,12 +362,11 @@ ChaosOutcome RunSupervisedScenario(const ChaosScenario& scenario, std::uint64_t 
 
     resilience::SupervisorOptions options;
     options.watchdog = false;  // keep matrix workers thread-free
-    options.backoff_initial = std::chrono::milliseconds{0};
     resilience::Supervisor supervisor{plan, options};
     const resilience::SupervisedOutcome sup = supervisor.Run(faults);
 
     out.kills = sup.crashes;
-    out.restores = sup.restarts;
+    out.restores = sup.restores;
     out.survived = sup.completed;
     out.time_monotone = sup.completed;
     out.queues_bounded = true;  // the driver owns and drains its simulator
@@ -427,13 +426,7 @@ ChaosOutcome RunChaosScenario(const ChaosScenario& scenario, std::uint64_t seed,
     obs::MetricsRegistry registry;
     obs::ScopedMetrics metrics_scope{&registry};
 
-    app::SessionConfig config;
-    config.seed = seed;
-    if (scenario.cross_mbps > 0.0) {
-      config.cross_traffic = net::CapacityTrace{scenario.cross_mbps * 1e6};
-      config.cross_burstiness = 0.35;
-    }
-    app::Session session{simulator, config};
+    app::Session session{simulator, ScenarioSessionConfig(scenario, seed)};
     session.Run(scenario.duration);
 
     out.events_executed = simulator.events_executed();

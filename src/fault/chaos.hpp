@@ -19,6 +19,7 @@
 #include <string_view>
 #include <vector>
 
+#include "app/session.hpp"
 #include "fault/fault.hpp"
 #include "obs/fleet/summary.hpp"
 #include "sim/time.hpp"
@@ -82,6 +83,11 @@ struct ChaosScenario {
 /// model). Names are stable CLI/script identifiers.
 [[nodiscard]] std::vector<ChaosScenario> BuiltinScenarios();
 
+/// The session every chaos harness runs for (scenario, seed): the seed,
+/// plus the scenario's cross traffic at 0.35 burstiness.
+[[nodiscard]] app::SessionConfig ScenarioSessionConfig(const ChaosScenario& scenario,
+                                                       std::uint64_t seed);
+
 /// Finds a scenario by name; null when unknown.
 [[nodiscard]] const ChaosScenario* FindScenario(const std::vector<ChaosScenario>& scenarios,
                                                 std::string_view name);
@@ -121,7 +127,7 @@ struct ChaosOutcome {
 
   // --- resilience evidence (supervised / budgeted scenarios) ---
   int kills = 0;                      ///< injected crashes observed
-  int restores = 0;                   ///< restore attempts performed
+  int restores = 0;                   ///< attempts that began from a checkpoint
   bool digest_match = false;          ///< restored digests == uninterrupted run's
   std::uint64_t shed_total = 0;       ///< overload-governor ledger, all tiers
   std::uint64_t shed_capped = 0;      ///< hard-capped data records

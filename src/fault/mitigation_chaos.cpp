@@ -33,16 +33,6 @@ MitigationQoe ExtractQoe(const media::QoeCollector& qoe) {
   return out;
 }
 
-app::SessionConfig BaseConfig(const ChaosScenario& scenario, std::uint64_t seed) {
-  app::SessionConfig config;
-  config.seed = seed;
-  if (scenario.cross_mbps > 0.0) {
-    config.cross_traffic = net::CapacityTrace{scenario.cross_mbps * 1e6};
-    config.cross_burstiness = 0.35;
-  }
-  return config;
-}
-
 /// Builds the live feed interposer from the scenario's offline telemetry
 /// fault spec: the same drop/corrupt/outage/clock faults the offline
 /// injector applies to the recorded stream, replayed record-by-record
@@ -100,7 +90,7 @@ MitigationOutcome RunMitigationScenario(const ChaosScenario& scenario,
       obs::MetricsRegistry registry;
       obs::ScopedMetrics metrics_scope{&registry};
       sim::Simulator simulator;
-      app::Session session{simulator, BaseConfig(scenario, seed)};
+      app::Session session{simulator, ScenarioSessionConfig(scenario, seed)};
       session.Run(scenario.duration);
       out.baseline = ExtractQoe(session.qoe());
     }
@@ -116,7 +106,7 @@ MitigationOutcome RunMitigationScenario(const ChaosScenario& scenario,
       options.controller.budget = budget;
       mitigation::control::MitigationRuntime runtime{options};
 
-      app::SessionConfig config = BaseConfig(scenario, seed);
+      app::SessionConfig config = ScenarioSessionConfig(scenario, seed);
       runtime.InstallConfigHooks(config);
       app::Session session{simulator, config};
       runtime.BindSession(simulator, session);

@@ -320,20 +320,29 @@ CheckpointingDriver::CheckpointingDriver(RunPlan plan) : plan_(std::move(plan)) 
 
 RunOutcome CheckpointingDriver::Run() { return Drive(nullptr); }
 
-RunOutcome CheckpointingDriver::Resume(const Checkpoint& ckpt) {
-  if (ckpt.config_fingerprint != ConfigFingerprint(plan_.config, plan_.duration)) {
-    throw CheckpointError(
-        "checkpoint was taken under a different session configuration or "
-        "planned duration (fingerprint mismatch); restoring would silently diverge");
+void ValidateIdentity(const Checkpoint& ckpt, std::uint64_t fingerprint, std::uint64_t seed) {
+  if (ckpt.config_fingerprint != fingerprint) {
+    std::ostringstream os;
+    os << "checkpoint was taken under a different configuration (fingerprint 0x"
+       << std::hex << ckpt.config_fingerprint << ", this run 0x" << fingerprint
+       << "); restoring would silently diverge";
+    throw CheckpointError(os.str());
   }
-  if (ckpt.seed != plan_.config.seed) {
+  if (ckpt.seed != seed) {
     throw CheckpointError("checkpoint seed " + std::to_string(ckpt.seed) +
-                          " does not match the plan's seed " +
-                          std::to_string(plan_.config.seed));
+                          " does not match this run's seed " + std::to_string(seed));
   }
-  if (ckpt.virtual_time > sim::kEpoch + plan_.duration) {
+}
+
+void ValidateRestore(const RunPlan& plan, const Checkpoint& ckpt) {
+  ValidateIdentity(ckpt, ConfigFingerprint(plan.config, plan.duration), plan.config.seed);
+  if (ckpt.virtual_time > sim::kEpoch + plan.duration) {
     throw CheckpointError("checkpoint lies beyond the planned duration");
   }
+}
+
+RunOutcome CheckpointingDriver::Resume(const Checkpoint& ckpt) {
+  ValidateRestore(plan_, ckpt);
   return Drive(&ckpt);
 }
 

@@ -173,10 +173,10 @@ class CheckpointingDriver {
   /// Uninterrupted run from t=0, snapshotting at the plan's cadence.
   [[nodiscard]] RunOutcome Run();
 
-  /// Restore: validates `ckpt` against the plan, replays a fresh session
-  /// to the checkpoint's virtual time, verifies the replayed state
-  /// digest (CheckpointError on mismatch, naming the boundary and both
-  /// digests), then continues to the end.
+  /// Restore: validates `ckpt` against the plan (ValidateRestore),
+  /// replays a fresh session to the checkpoint's virtual time, verifies
+  /// the replayed state digest (CheckpointError on mismatch, naming the
+  /// boundary and both digests), then continues to the end.
   [[nodiscard]] RunOutcome Resume(const Checkpoint& ckpt);
 
   [[nodiscard]] const RunPlan& plan() const { return plan_; }
@@ -186,6 +186,16 @@ class CheckpointingDriver {
 
   RunPlan plan_;
 };
+
+/// Throws CheckpointError unless `ckpt` was taken by the run with this
+/// config fingerprint and seed: replaying it elsewhere would silently
+/// diverge.
+void ValidateIdentity(const Checkpoint& ckpt, std::uint64_t fingerprint, std::uint64_t seed);
+
+/// ValidateIdentity against a session plan, plus a boundary within the
+/// planned duration. Resume and Supervisor::RunFrom both run it before
+/// anything is replayed.
+void ValidateRestore(const RunPlan& plan, const Checkpoint& ckpt);
 
 /// Builds a Checkpoint from a live session at its current virtual time.
 [[nodiscard]] Checkpoint SnapshotSession(const sim::Simulator& sim,

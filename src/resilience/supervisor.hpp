@@ -1,34 +1,23 @@
 // Watchdog supervision: crash-point injection, stall detection, and
 // automatic restart-from-latest-checkpoint with bounded retries.
 //
-// The supervisor wraps a CheckpointingDriver the way an init system
-// wraps a daemon. Each attempt runs the plan with two kernel observers
-// installed:
+// One loop (Supervise) supervises every long run, a single session here
+// and the sharded world in world_supervisor.hpp. The run is a plug-in
+// (SupervisedRun) that runs to the end from a checkpoint or from
+// scratch, reporting each checkpoint it takes. The loop owns the policy:
+// restart at once from the latest checkpoint, drop a checkpoint whose
+// replay fails verification and rebuild from scratch, give up after
+// max_restarts. ATHENA_CHECK violations inside the run are contained
+// with ScopedCheckThrow: a poisoned run is a failed attempt, not a
+// process kill.
 //
-//   - ProcessFaultHooks simulates process death at configured points
-//     (a virtual-time kill, or a kill every N executed events) by
-//     throwing SimulatedCrash out of the event loop — everything the
-//     attempt built is torn down, exactly like a crash would, except
-//     the address space survives so the test harness can observe it.
-//   - WatchdogHooks feeds per-attempt heartbeats (virtual time + event
-//     count) into relaxed atomics that a wall-clock monitor thread
-//     watches. If virtual time stops advancing while events keep firing
-//     (a livelock — e.g. an event rescheduling itself at the same
-//     instant), the monitor raises a cancel flag and the hook throws
-//     RunStalled at the next event boundary. A *hard* stall — a
-//     callback that never returns — cannot be safely interrupted
-//     in-process; it is reported via `resilience.supervisor.hard_stall`
-//     and the on_event log, honestly, rather than pretended away.
-//
-// After a crash or stall the supervisor restores from the latest
-// checkpoint (replay-verified; see checkpoint.hpp), with exponential
-// wall-clock backoff and a bounded retry budget. ATHENA_CHECK
-// violations inside the supervised run are contained with
-// ScopedCheckThrow: a poisoned run is a failed attempt, not a process
-// kill.
+// The session plug-in wraps a CheckpointingDriver the way an init system
+// wraps a daemon: its kernel observer throws SimulatedCrash at the
+// ProcessFaultSpec kill points and RunStalled when the watchdog sees a
+// livelock. A hard stall (a callback that never returns) cannot be
+// interrupted in-process; it is reported, not pretended away.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -37,17 +26,15 @@
 #include <string>
 
 #include "resilience/checkpoint.hpp"
-#include "sim/simulator.hpp"
+#include "sim/check.hpp"
 #include "sim/time.hpp"
 
 namespace athena::resilience {
 
-/// An injected process death (crash-point testing). Deliberately NOT
-/// derived from CheckpointError: the supervisor treats it as "the
-/// process died", never as a bad checkpoint.
-class SimulatedCrash : public std::runtime_error {
+/// An injected process death: the session twin of world::ShardCrash.
+class SimulatedCrash : public sim::InjectedCrash {
  public:
-  explicit SimulatedCrash(const std::string& what) : std::runtime_error(what) {}
+  explicit SimulatedCrash(const std::string& what) : sim::InjectedCrash(what) {}
 };
 
 /// Raised at the next event boundary after the watchdog cancels a run
@@ -75,66 +62,57 @@ struct ProcessFaultSpec {
   }
 };
 
-/// Kernel observer that injects the configured process faults.
-/// `kills_done` is shared across attempts (owned by the supervisor) so
-/// the kill budget is global, not per-attempt.
-class ProcessFaultHooks final : public sim::SimHooks {
+/// The counters every supervised outcome shares, kept by Supervise.
+struct SupervisionCounters {
+  bool completed = false;
+  bool gave_up = false;  ///< retry budget exhausted
+  int crashes = 0;       ///< injected crashes, failed restores, CheckViolations, other throws
+  int stalls = 0;        ///< watchdog cancellations
+  int restarts = 0;      ///< attempts after the first
+  int restores = 0;      ///< attempts that began from a checkpoint (replay + verify)
+  std::string last_error;
+};
+
+/// One supervised run, as the loop sees it.
+class SupervisedRun {
  public:
-  ProcessFaultHooks(const ProcessFaultSpec& spec, int& kills_done)
-      : spec_(spec), kills_done_(kills_done) {}
-
-  void OnEventExecuted(sim::TimePoint t, std::size_t queue_depth) override;
-  void OnRunCompleted(sim::TimePoint, sim::TimePoint, std::uint64_t) override {}
-
- private:
-  ProcessFaultSpec spec_;
-  int& kills_done_;
-  std::uint64_t events_seen_ = 0;
+  virtual ~SupervisedRun() = default;
+  /// Runs to the end from `from` (replayed, verified — CheckpointError on
+  /// divergence — then continued) or, when empty, from scratch, passing
+  /// every checkpoint taken to `keep`.
+  virtual void Attempt(const std::optional<Checkpoint>& from,
+                       const std::function<void(const Checkpoint&)>& keep) = 0;
+  /// Names a restart point for the log ("checkpoint at 1500.000ms").
+  [[nodiscard]] virtual std::string RestartPoint(
+      const std::optional<Checkpoint>& from) const = 0;
+  /// Bookkeeping after an attempt died of an injected crash.
+  virtual void OnInjectedCrash() {}
 };
 
-/// Per-attempt heartbeat state shared between the simulation thread
-/// (writer, via hooks) and the watchdog monitor thread (reader).
-struct Heartbeat {
-  std::atomic<std::int64_t> virtual_us{0};
-  std::atomic<std::uint64_t> beats{0};
-  std::atomic<bool> cancel{false};
-};
-
-/// Kernel observer feeding the heartbeat and honouring the cancel flag.
-class WatchdogHooks final : public sim::SimHooks {
- public:
-  explicit WatchdogHooks(Heartbeat& hb) : hb_(hb) {}
-
-  void OnEventExecuted(sim::TimePoint t, std::size_t queue_depth) override;
-  void OnRunCompleted(sim::TimePoint, sim::TimePoint, std::uint64_t) override {}
-
- private:
-  Heartbeat& hb_;
-};
-
-struct SupervisorOptions {
-  /// Restore attempts after the first run; exhausted → gave_up.
+/// The retry policy every supervisor shares.
+struct SupervisionPolicy {
+  /// Restart attempts after the first run; exhausted → gave_up.
   int max_restarts = 3;
-  /// Wall-clock window with no virtual-time progress before the
-  /// watchdog cancels the attempt.
-  std::chrono::milliseconds stall_timeout{2000};
-  /// Wall-clock backoff before restart attempt k is 2^k × this.
-  std::chrono::milliseconds backoff_initial{10};
-  /// Run the wall-clock monitor thread (off = crash recovery only).
-  bool watchdog = true;
-  /// Human-readable supervision log ("crash at t=…, restoring from …").
+  /// Human-readable supervision log (crash, restart, quarantine, give-up).
   std::function<void(const std::string&)> on_event;
 };
 
-struct SupervisedOutcome {
-  RunOutcome outcome;       ///< valid iff `completed`
-  bool completed = false;
-  bool gave_up = false;     ///< retry budget exhausted
-  int crashes = 0;          ///< SimulatedCrash + contained CheckViolations + other throws
-  int stalls = 0;           ///< watchdog cancellations
-  int restarts = 0;         ///< restore attempts performed
+/// Attempts `run` until it completes or `policy.max_restarts` restarts
+/// are spent, restarting from the latest checkpoint (initially `start`).
+void Supervise(SupervisedRun& run, const Checkpoint* start,
+               const SupervisionPolicy& policy, SupervisionCounters& out);
+
+struct SupervisorOptions : SupervisionPolicy {
+  /// Wall-clock window with no virtual-time progress before the
+  /// watchdog cancels the attempt.
+  std::chrono::milliseconds stall_timeout{2000};
+  /// Run the wall-clock monitor thread (off = crash recovery only).
+  bool watchdog = true;
+};
+
+struct SupervisedOutcome : SupervisionCounters {
+  RunOutcome outcome;                ///< valid iff `completed`
   bool hard_stall_reported = false;  ///< monitor saw zero beats for a full window
-  std::string last_error;
 };
 
 /// Runs a plan to completion under crash/stall supervision.
@@ -143,17 +121,20 @@ class Supervisor {
   explicit Supervisor(RunPlan plan, SupervisorOptions options = {});
 
   /// Supervised run with injected process faults.
-  [[nodiscard]] SupervisedOutcome Run(const ProcessFaultSpec& faults);
+  [[nodiscard]] SupervisedOutcome Run(const ProcessFaultSpec& faults) {
+    return Drive(faults, nullptr);
+  }
   /// Supervised run with no injected faults (still contains real
   /// crashes/stalls of the workload itself).
   [[nodiscard]] SupervisedOutcome Run() { return Run(ProcessFaultSpec{}); }
 
   /// Supervised run that starts from an externally loaded checkpoint
-  /// (the CLI's --restore path).
+  /// (the CLI's --restore path). Throws CheckpointError before any
+  /// attempt when `start` belongs to another run (ValidateRestore).
   [[nodiscard]] SupervisedOutcome RunFrom(const Checkpoint& start,
-                                          const ProcessFaultSpec& faults);
-
-  [[nodiscard]] const RunPlan& plan() const { return plan_; }
+                                          const ProcessFaultSpec& faults) {
+    return Drive(faults, &start);
+  }
 
  private:
   [[nodiscard]] SupervisedOutcome Drive(const ProcessFaultSpec& faults,

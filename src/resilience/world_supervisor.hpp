@@ -1,24 +1,18 @@
 // Shard-crash supervision for the sharded world engine.
 //
-// The world-scale counterpart of Supervisor (supervisor.hpp): drives a
-// WorldEngine to completion under deterministic shard-crash injection,
-// snapshotting the whole world at a window cadence and restoring from
-// the latest snapshot after a crash. Restore is replay-based, like every
-// checkpoint in this repo: a fresh engine replays windows 1..k and the
-// supervisor's window hook verifies — state digest and canonical-order
-// mailbox records, byte-for-byte — that the replayed boundary matches
-// the snapshot before the run continues (CheckpointError on divergence).
-// A supervised run that recovers from a crash therefore finishes with a
-// world digest and FleetReport byte-identical to an uninterrupted run,
-// at any shard count, threaded or sequential.
+// The world plug-in of the one supervision loop (supervisor.hpp): drives
+// a WorldEngine to completion under deterministic shard-crash injection,
+// snapshotting the whole world at a window cadence; the loop restores
+// from the latest snapshot after a crash, replay-verified at the window
+// hook (world_checkpoint.hpp). A supervised run that recovers from a
+// crash therefore finishes with a world digest and FleetReport
+// byte-identical to an uninterrupted run, at any shard count, threaded
+// or sequential.
 //
 // Cell quarantine: when crashes blamed on one cell exhaust its restart
-// budget, the next restore quarantines that cell — from the crash window
-// onward it stops transmitting and the engine evacuates its population
-// to surviving cells through the normal 4-message handover dance
-// (in-flight HARQ chains booked as `lost`; UEs without time to move are
-// stranded with their packets in_flight) — so the conservation ledger
-// balances and the run completes instead of crash-looping.
+// budget, the next restore quarantines that cell from the crash window
+// on, and the engine evacuates its UEs by handover (world/config.hpp),
+// so the run completes with a balanced ledger instead of crash-looping.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "resilience/supervisor.hpp"
 #include "resilience/world_checkpoint.hpp"
 #include "world/config.hpp"
 #include "world/engine.hpp"
@@ -59,37 +54,25 @@ struct WorldFaultSpec {
   [[nodiscard]] bool any() const { return crash_shard != kNone; }
 };
 
-struct WorldSupervisorOptions {
+struct WorldSupervisorOptions : SupervisionPolicy {
   /// Snapshot cadence in window boundaries; 0 disables checkpoints (a
   /// crash then restarts from scratch).
   std::uint64_t checkpoint_every_windows = 64;
-  /// Restart attempts after the first (attempts = max_restarts + 1).
-  int max_restarts = 3;
   /// Crashes blamed on one cell before it is quarantined.
   int cell_restart_budget = 2;
   /// Invoked with every snapshot taken (the CLI spills the latest to
   /// disk). Observability only: must not mutate the run.
   std::function<void(const Checkpoint&)> on_checkpoint;
-  /// Human-readable lifecycle events (crash, restore, quarantine).
-  std::function<void(const std::string&)> on_event;
 };
 
-struct WorldSupervisedOutcome {
+struct WorldSupervisedOutcome : SupervisionCounters {
   world::WorldResult result;
-  bool completed = false;
-  bool gave_up = false;
-  int crashes = 0;
-  int restarts = 0;
-  /// Attempts that began from a snapshot (replay + verify), as opposed
-  /// to from scratch.
-  int restores = 0;
   std::uint64_t checkpoints_taken = 0;
   std::size_t last_snapshot_bytes = 0;
   /// Wall seconds spent replaying up to the verified restore boundary,
   /// summed over restore attempts (bench_world reports this).
   double restore_replay_seconds = 0.0;
   std::vector<std::size_t> quarantined_cells;
-  std::string last_error;
 };
 
 class WorldSupervisor {
@@ -97,14 +80,18 @@ class WorldSupervisor {
   WorldSupervisor(world::WorldConfig config, WorldSupervisorOptions options);
 
   /// Supervised run from scratch.
-  [[nodiscard]] WorldSupervisedOutcome Run(const WorldFaultSpec& faults);
+  [[nodiscard]] WorldSupervisedOutcome Run(const WorldFaultSpec& faults) {
+    return Drive(faults, nullptr);
+  }
 
   /// Supervised run seeded with an on-disk snapshot (--restore):
   /// validates identity (fingerprint + seed) and that the snapshot lies
   /// on a window boundary — CheckpointError otherwise — then replays to
   /// that window, verifies, and continues under supervision.
   [[nodiscard]] WorldSupervisedOutcome RunFrom(const Checkpoint& start,
-                                               const WorldFaultSpec& faults);
+                                               const WorldFaultSpec& faults) {
+    return Drive(faults, &start);
+  }
 
   /// The window the fault spec resolves to under this config (exposed so
   /// callers can align checkpoint cadences and quarantine probes).

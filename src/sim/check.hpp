@@ -31,6 +31,14 @@ class CheckViolation : public std::logic_error {
   explicit CheckViolation(const std::string& what) : std::logic_error(what) {}
 };
 
+/// A deliberate crash (crash-point testing): a supervised process or a
+/// shard worker dying on purpose. A supervisor restores after it; it is
+/// neither a bad checkpoint nor a poisoned run.
+class InjectedCrash : public std::runtime_error {
+ public:
+  explicit InjectedCrash(const std::string& what) : std::runtime_error(what) {}
+};
+
 namespace detail {
 
 /// Per-thread: when true, a failed check throws instead of aborting.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <deque>
 #include <exception>
 #include <mutex>
@@ -21,6 +20,7 @@
 #include "sim/check.hpp"
 #include "sim/random.hpp"
 #include "sim/runner.hpp"
+#include "sim/wall_clock.hpp"
 
 namespace athena::world {
 namespace {
@@ -29,10 +29,6 @@ namespace {
 /// streams (session internals fork further from the per-UE seed).
 constexpr std::uint64_t kChannelStream = 1'000'000;
 constexpr std::uint64_t kHandoverStream = 2'000'000;
-
-[[nodiscard]] double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
 
 }  // namespace
 
@@ -310,9 +306,9 @@ void WorldEngine::RunSequential(const sim::WindowSchedule& schedule,
   for (std::uint64_t k = 1; k <= schedule.windows; ++k) {
     const sim::TimePoint window_end = schedule.WindowEnd(k);
     for (std::size_t s = 0; s < shard_count_; ++s) {
-      const auto t0 = std::chrono::steady_clock::now();
+      const auto t0 = sim::WallClock::now();
       RunShardWindow(s, k, window_end);
-      busy.Record(s, k, SecondsSince(t0));
+      busy.Record(s, k, sim::SecondsSince(t0));
     }
     for (std::size_t s = 0; s < shard_count_; ++s) Publish(s);
     for (std::size_t s = 0; s < shard_count_; ++s) Collect(s);
@@ -346,9 +342,9 @@ void WorldEngine::RunThreaded(const sim::WindowSchedule& schedule,
       for (std::uint64_t k = 1; k <= schedule.windows; ++k) {
         if (!failed.load(std::memory_order_relaxed)) {
           try {
-            const auto t0 = std::chrono::steady_clock::now();
+            const auto t0 = sim::WallClock::now();
             RunShardWindow(s, k, schedule.WindowEnd(k));
-            busy.Record(s, k, SecondsSince(t0));
+            busy.Record(s, k, sim::SecondsSince(t0));
           } catch (...) {
             std::lock_guard<std::mutex> lock(error_mu);
             if (!first_error) first_error = std::current_exception();
@@ -585,13 +581,13 @@ WorldResult WorldEngine::Run() {
   result.windows = schedule.windows;
   result.threaded = config_.threaded && shard_count_ > 1;
 
-  const auto wall0 = std::chrono::steady_clock::now();
+  const auto wall0 = sim::WallClock::now();
   if (result.threaded) {
     RunThreaded(schedule, busy);
   } else {
     RunSequential(schedule, busy);
   }
-  result.wall_seconds = SecondsSince(wall0);
+  result.wall_seconds = sim::SecondsSince(wall0);
   result.busy_seconds = busy.TotalSeconds();
   result.critical_path_seconds = busy.CriticalPathSeconds();
 

@@ -44,6 +44,7 @@
 
 #include "obs/fleet/report.hpp"
 #include "sim/barrier.hpp"
+#include "sim/check.hpp"
 #include "world/cell.hpp"
 #include "world/config.hpp"
 #include "world/mailbox.hpp"
@@ -55,10 +56,10 @@ namespace athena::world {
 /// WorldConfig::crash_shard). In threaded mode the surviving workers
 /// keep the barrier protocol alive and the engine rethrows this after
 /// join — the supervisor's cue to restore from the latest snapshot.
-class ShardCrash : public std::runtime_error {
+class ShardCrash : public sim::InjectedCrash {
  public:
   ShardCrash(std::size_t shard, std::uint64_t window, const std::string& what)
-      : std::runtime_error(what), shard_(shard), window_(window) {}
+      : sim::InjectedCrash(what), shard_(shard), window_(window) {}
 
   [[nodiscard]] std::size_t shard() const { return shard_; }
   [[nodiscard]] std::uint64_t window() const { return window_; }

@@ -406,7 +406,6 @@ TEST(MitigationMatrixTest, RepeatedRunsAreByteIdentical) {
 SupervisorOptions FastOptions() {
   SupervisorOptions options;
   options.watchdog = false;
-  options.backoff_initial = std::chrono::milliseconds{0};
   return options;
 }
 

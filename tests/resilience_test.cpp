@@ -2,19 +2,22 @@
 // property across seeds × kill points, replay verification of forged
 // snapshots, the one snapshot codec over session- and world-shaped
 // snapshots (round trip + rejection of malformed bytes), watchdog stall
-// detection, bounded supervisor retries, the overload governor's
-// priority tiers, the trace recorder's byte budget, and the overload
-// detector.
+// detection and hard-stall reporting, bounded supervisor retries, the
+// one recovery policy (forged checkpoints dropped, foreign ones refused
+// up front), the overload governor's priority tiers, the trace
+// recorder's byte budget, and the overload detector.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/live/detectors.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_names.hpp"
 #include "resilience/checkpoint.hpp"
@@ -52,7 +55,6 @@ RunPlan ShortPlan(std::uint64_t seed) {
 SupervisorOptions FastOptions() {
   SupervisorOptions options;
   options.watchdog = false;
-  options.backoff_initial = std::chrono::milliseconds{0};
   return options;
 }
 
@@ -355,7 +357,6 @@ TEST(SupervisorTest, WatchdogCancelsALivelockedRun) {
   options.watchdog = true;
   options.stall_timeout = std::chrono::milliseconds{50};
   options.max_restarts = 1;
-  options.backoff_initial = std::chrono::milliseconds{0};
   Supervisor supervisor{plan, options};
   const resilience::SupervisedOutcome sup = supervisor.Run();
   EXPECT_FALSE(sup.completed);
@@ -395,6 +396,69 @@ TEST(SupervisorTest, ExhaustedKillBudgetLetsTheRunComplete) {
   ASSERT_TRUE(sup.completed) << sup.last_error;
   EXPECT_EQ(sup.crashes, 2);
   EXPECT_EQ(sup.outcome.final_digest, uninterrupted.final_digest);
+}
+
+TEST(SupervisorTest, HardStallIsPublishedToTheCallersRegistry) {
+  // A callback that blocks for several watchdog windows fires no events
+  // at all: a hard stall, which cannot be cancelled in-process and must
+  // reach the registry the caller installed, not the monitor thread's.
+  RunPlan plan = ShortPlan(3);
+  plan.on_simulator = [](sim::Simulator& sim) {
+    sim.ScheduleAt(kEpoch + 100ms, [] { std::this_thread::sleep_for(300ms); });
+  };
+  SupervisorOptions options;
+  options.stall_timeout = std::chrono::milliseconds{50};
+  obs::MetricsRegistry registry;
+  obs::ScopedMetrics metrics_scope{&registry};
+  Supervisor supervisor{plan, options};
+  const resilience::SupervisedOutcome sup = supervisor.Run();
+  ASSERT_TRUE(sup.completed) << sup.last_error;
+  EXPECT_TRUE(sup.hard_stall_reported);
+  EXPECT_EQ(registry.GaugeValue("resilience.supervisor.hard_stall"), 1.0);
+}
+
+TEST(SupervisorTest, ForgedCheckpointIsDroppedAndTheRunRebuiltFromScratch) {
+  // The session twin of the world test: a checksum-valid checkpoint with
+  // the right identity but a forged digest fails replay verification.
+  // The supervisor must drop it and rebuild from t=0, not retry it.
+  const RunPlan plan = ShortPlan(5);
+  const resilience::RunOutcome clean = CheckpointingDriver{plan}.Run();
+  Checkpoint forged = LatestCheckpoint(plan);
+  forged.state_digest ^= 1;
+  std::vector<std::uint8_t> bytes;
+  forged.Serialize(bytes);
+  const Checkpoint reloaded = Checkpoint::Deserialize(bytes.data(), bytes.size());
+
+  Supervisor supervisor{plan, FastOptions()};
+  const resilience::SupervisedOutcome sup = supervisor.RunFrom(reloaded, ProcessFaultSpec{});
+  ASSERT_TRUE(sup.completed) << sup.last_error;
+  EXPECT_EQ(sup.restarts, 1);
+  EXPECT_EQ(sup.crashes, 1);
+  EXPECT_NE(sup.last_error.find("replayed state digest"), std::string::npos)
+      << sup.last_error;
+  EXPECT_FALSE(sup.outcome.restored);
+  EXPECT_EQ(sup.outcome.final_digest, clean.final_digest);
+  EXPECT_EQ(sup.outcome.report_digest, clean.report_digest);
+}
+
+TEST(SupervisorTest, RunFromRejectsForeignCheckpoints) {
+  // A checkpoint of another run is refused before any attempt, by the
+  // same checks Resume applies — not retried until the budget is gone.
+  const Checkpoint latest = LatestCheckpoint(ShortPlan(5));
+  Supervisor supervisor{ShortPlan(5), FastOptions()};
+
+  Checkpoint wrong_fingerprint = latest;
+  wrong_fingerprint.config_fingerprint ^= 1;
+  EXPECT_THROW((void)supervisor.RunFrom(wrong_fingerprint, ProcessFaultSpec{}),
+               CheckpointError);
+
+  Checkpoint wrong_seed = latest;
+  wrong_seed.seed += 1;
+  EXPECT_THROW((void)supervisor.RunFrom(wrong_seed, ProcessFaultSpec{}), CheckpointError);
+
+  // A whole foreign plan: different seed, so a different fingerprint.
+  Supervisor other{ShortPlan(6), FastOptions()};
+  EXPECT_THROW((void)other.RunFrom(latest, ProcessFaultSpec{}), CheckpointError);
 }
 
 TEST(ParallelRunnerTest, PoisonedRunIsAFailedRunNotAProcessKill) {
