@@ -34,6 +34,7 @@
 #include "obs/live/anomaly.hpp"
 #include "obs/obs.hpp"
 #include "sim/simulator.hpp"
+#include "sim/wall_clock.hpp"
 
 namespace {
 
@@ -41,10 +42,9 @@ using namespace athena;
 using namespace std::chrono_literals;
 
 double WallSeconds(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = sim::WallClock::now();
   fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
+  return sim::SecondsSince(t0);
 }
 
 /// One simulated stressed session second (detectors need HARQ + BSR

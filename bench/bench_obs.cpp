@@ -30,6 +30,7 @@
 #include "core/correlator.hpp"
 #include "obs/obs.hpp"
 #include "sim/simulator.hpp"
+#include "sim/wall_clock.hpp"
 
 namespace {
 
@@ -37,10 +38,9 @@ using namespace athena;
 using namespace std::chrono_literals;
 
 double WallSeconds(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = sim::WallClock::now();
   fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
+  return sim::SecondsSince(t0);
 }
 
 /// One simulated session second, identical config to BM_FullSessionSecond.

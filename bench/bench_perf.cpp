@@ -46,6 +46,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/runner.hpp"
 #include "sim/simulator.hpp"
+#include "sim/wall_clock.hpp"
 
 namespace {
 
@@ -53,10 +54,9 @@ using namespace athena;
 using namespace std::chrono_literals;
 
 double WallSeconds(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = sim::WallClock::now();
   fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
+  return sim::SecondsSince(t0);
 }
 
 /// Robust per-rep cost: the median ignores reps a host hiccup landed on.

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "resilience/checkpoint.hpp"
+#include "sim/wall_clock.hpp"
 
 namespace {
 
@@ -86,11 +87,9 @@ int main(int argc, char** argv) {
   double serialize_ms_total = 0.0;
   plan.on_checkpoint = [&](const resilience::Checkpoint& c) {
     std::vector<std::uint8_t> buffer;
-    const auto begin = std::chrono::steady_clock::now();
+    const auto begin = sim::WallClock::now();
     c.Serialize(buffer);
-    const auto end = std::chrono::steady_clock::now();
-    serialize_ms_total +=
-        std::chrono::duration<double, std::milli>(end - begin).count();
+    serialize_ms_total += sim::SecondsSince(begin) * 1e3;
     ++checkpoints;
     last_bytes = buffer.size();
   };
@@ -100,12 +99,10 @@ int main(int argc, char** argv) {
             << checkpoint_every_ms << " ms, input budget " << budget_bytes
             << " bytes\n";
 
-  const auto wall_begin = std::chrono::steady_clock::now();
+  const auto wall_begin = sim::WallClock::now();
   resilience::CheckpointingDriver driver{plan};
   const resilience::RunOutcome outcome = driver.Run();
-  const double wall_s = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - wall_begin)
-                            .count();
+  const double wall_s = sim::SecondsSince(wall_begin);
 
   const std::size_t peak_rss_kb = ProcStatusKb("VmHWM");
   const std::size_t rss_kb = ProcStatusKb("VmRSS");

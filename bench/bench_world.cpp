@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "resilience/world_supervisor.hpp"
+#include "sim/wall_clock.hpp"
 #include "world/engine.hpp"
 
 namespace {
@@ -138,11 +139,10 @@ int main(int argc, char** argv) {
     resilience::WorldSupervisorOptions options;
     options.checkpoint_every_windows = 64;
     options.on_checkpoint = [&](const resilience::Checkpoint& snapshot) {
-      const auto t0 = std::chrono::steady_clock::now();
+      const auto t0 = sim::WallClock::now();
       std::vector<std::uint8_t> bytes;
       snapshot.Serialize(bytes);
-      snapshot_serialize_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+      snapshot_serialize_seconds = sim::SecondsSince(t0);
     };
     resilience::WorldFaultSpec faults;
     faults.crash_shard = 1;  // window derived from the seed

@@ -24,10 +24,10 @@
 //                                       subscribes to the live detectors and
 //                                       actuates the grant/CC/pacing knobs
 //                                       under fail-safe guardrails. With
-//                                       --chaos: runs mitigation-on/off pairs
-//                                       and checks the QoE + guardrail
-//                                       contracts instead of the plain
-//                                       degradation contract
+//                                       --chaos: runs the session scenarios
+//                                       as mitigation-on/off pairs and checks
+//                                       the QoE + guardrail contracts instead
+//                                       of the plain degradation contract
 //     --mitigate-budget-ms=N            hard sense-to-act budget, virtual
 //                                       time (default 50)
 //     --expose=FILE                     write metrics + live detector state in
@@ -43,8 +43,13 @@
 //     --chaos=NAME[,NAME...]|all        chaos mode: run the named fault
 //                                       scenario(s) (or the whole catalog) under
 //                                       --chaos-seeds derived seeds and check
-//                                       the degradation-contract invariants;
-//                                       exits nonzero on any violation
+//                                       each scenario's contract; exits
+//                                       nonzero on any violation. World
+//                                       scenarios (world_*) take their layout
+//                                       from --world-ues/--world-cells/
+//                                       --world-shards/--world-mode/
+//                                       --world-handover/--duration when
+//                                       --world-ues is set
 //     --chaos-seeds=N                   seeds per chaos scenario (default 4)
 //     --chaos-out=FILE                  write the chaos matrix as JSON
 //     --chaos-list                      list the built-in chaos scenarios
@@ -107,9 +112,6 @@
 //     --world-crosscheck                after the run, repeat at 1 shard
 //                                       sequentially and require a
 //                                       byte-identical digest + report
-//     --world-chaos                     run the world chaos contract
-//                                       (cell outage; see
-//                                       src/fault/world_chaos.hpp)
 //     --world-checkpoint-every=K        snapshot the whole world every K
 //                                       window boundaries (default 64 in
 //                                       supervised mode)
@@ -159,8 +161,6 @@
 #include "athena.hpp"
 #include "core/report.hpp"
 #include "fault/chaos.hpp"
-#include "fault/mitigation_chaos.hpp"
-#include "fault/world_chaos.hpp"
 #include "mitigation/control/runtime.hpp"
 #include "obs/fleet/report.hpp"
 #include "obs/live/exposition.hpp"
@@ -245,7 +245,6 @@ struct Options {
   std::size_t world_handover_every = 0;
   std::string world_mode = "threads";  ///< threads | seq
   bool world_crosscheck = false;
-  bool world_chaos = false;
 
   // --- world resilience (src/resilience/world_*) ---
   std::uint64_t world_checkpoint_every = 64;  ///< snapshot cadence (windows)
@@ -346,8 +345,6 @@ Options Parse(int argc, char** argv) {
       opt.world_mode = value;
     } else if (arg == "--world-crosscheck") {
       opt.world_crosscheck = true;
-    } else if (arg == "--world-chaos") {
-      opt.world_chaos = true;
     } else if (ParseFlag(arg, "world-checkpoint-every", &value)) {
       opt.world_checkpoint_every = std::stoull(value);
     } else if (ParseFlag(arg, "world-kill-shard", &value)) {
@@ -385,7 +382,7 @@ Options Parse(int argc, char** argv) {
                    "[--fleet-expose=FILE] [--fleet-baseline=FILE] [--fleet-gate] "
                    "[--world-ues=N] [--world-cells=C] [--world-shards=S] "
                    "[--world-handover=K] [--world-mode=threads|seq] "
-                   "[--world-crosscheck] [--world-chaos] "
+                   "[--world-crosscheck] "
                    "[--world-checkpoint-every=K] "
                    "[--world-kill-shard=S] [--world-kill-window=W] "
                    "[--world-kill-cell=C]\n";
@@ -673,6 +670,21 @@ RunResult RunOne(const Options& opt, std::uint64_t seed, std::size_t run_index,
   return result;
 }
 
+world::WorldConfig BuildWorldConfig(const Options& opt) {
+  world::WorldConfig config;
+  config.seed = opt.seed;
+  config.ues = opt.world_ues;
+  config.cells = opt.world_cells;
+  // The engine rejects layouts with empty shards; the CLI keeps its
+  // documented clamp-to-cells behaviour instead of erroring out.
+  config.shards = std::max<std::size_t>(1, std::min(opt.world_shards, opt.world_cells));
+  config.threaded = opt.world_mode != "seq";
+  config.duration = sim::Duration{std::chrono::seconds{opt.duration_s}};
+  config.handover_every = opt.world_handover_every;
+  config.correlate_jobs = opt.jobs;
+  return config;
+}
+
 /// Chaos mode: run fault scenarios × derived seeds through the matrix
 /// runner and fail loudly on any invariant violation. Returns the
 /// process exit code.
@@ -681,7 +693,10 @@ int RunChaos(const Options& opt) {
 
   std::vector<fault::ChaosScenario> selected;
   if (opt.chaos == "all") {
-    selected = catalog;
+    // The mitigation axis applies to session scenarios only.
+    for (const fault::ChaosScenario& s : catalog) {
+      if (!opt.mitigate || !s.is_world()) selected.push_back(s);
+    }
   } else {
     // Comma-separated scenario names, e.g. the CI 2-scenario smoke pair.
     std::stringstream names{opt.chaos};
@@ -691,6 +706,10 @@ int RunChaos(const Options& opt) {
       const fault::ChaosScenario* s = fault::FindScenario(catalog, name);
       if (s == nullptr) {
         std::cerr << "unknown chaos scenario: " << name << " (try --chaos-list)\n";
+        return 2;
+      }
+      if (opt.mitigate && s->is_world()) {
+        std::cerr << "--mitigate applies to session scenarios only, not " << name << '\n';
         return 2;
       }
       selected.push_back(*s);
@@ -704,54 +723,39 @@ int RunChaos(const Options& opt) {
     std::cerr << "--chaos-seeds must be >= 1\n";
     return 2;
   }
-
-  sim::ParallelRunner probe{opt.jobs};
-
-  if (opt.mitigate) {
-    // Mitigation-on/off pairs: judge the QoE delta + guardrail contract
-    // instead of the plain degradation contract.
-    const sim::Duration budget{
-        std::chrono::milliseconds{std::max(1, opt.mitigate_budget_ms)}};
-    std::cout << "mitigation chaos: " << selected.size() << " scenario(s) x "
-              << opt.chaos_seeds << " seed(s), " << probe.jobs() << " jobs, base seed "
-              << opt.seed << ", budget " << sim::ToMs(budget) << " ms\n";
-    const fault::MitigationMatrixResult result =
-        fault::RunMitigationMatrix(selected, opt.seed, opt.chaos_seeds, opt.jobs,
-                                   budget, /*summarize=*/opt.fleet());
-    fault::RenderMitigationTable(std::cout, result);
-
-    if (!opt.chaos_out.empty()) {
-      std::ofstream os{opt.chaos_out};
-      if (!os) throw std::runtime_error("cannot write " + opt.chaos_out);
-      fault::WriteMitigationJson(os, result, opt.seed, opt.chaos_seeds, probe.jobs(),
-                                 budget);
-      std::cout << "wrote " << opt.chaos_out << '\n';
+  if (opt.world()) {
+    // Reshape the selected world scenarios to the --world-* layout.
+    const world::WorldConfig layout = BuildWorldConfig(opt);
+    for (fault::ChaosScenario& s : selected) {
+      if (!s.is_world()) continue;
+      s.shape.ues = layout.ues;
+      s.shape.cells = layout.cells;
+      s.shape.shards = layout.shards;
+      s.shape.threaded = layout.threaded;
+      if (layout.handover_every > 0) s.shape.handover_every = layout.handover_every;
+      s.duration = layout.duration;
     }
-
-    int exit_code = result.all_ok() ? 0 : 1;
-    if (opt.fleet()) {
-      obs::fleet::FleetAggregator aggregator;
-      obs::fleet::SloEngine engine{LoadSlos(opt)};
-      for (const fault::MitigationOutcome& o : result.outcomes) {
-        aggregator.Fold(o.summary);
-        engine.Observe(o.summary);
-      }
-      const int fleet_code = FinishFleet(opt, aggregator, engine);
-      if (exit_code == 0) exit_code = fleet_code;
-    }
-    return exit_code;
   }
 
+  const fault::ChaosRunOptions options{
+      .mitigate = opt.mitigate,
+      .budget = std::chrono::milliseconds{std::max(1, opt.mitigate_budget_ms)},
+      .summarize = opt.fleet()};
   std::cout << "chaos: " << selected.size() << " scenario(s) x " << opt.chaos_seeds
-            << " seed(s), " << probe.jobs() << " jobs, base seed " << opt.seed << '\n';
-  const fault::ChaosMatrixResult result = fault::RunChaosMatrix(
-      selected, opt.seed, opt.chaos_seeds, opt.jobs, /*summarize=*/opt.fleet());
+            << " seed(s), " << sim::ParallelRunner{opt.jobs}.jobs() << " jobs, base seed "
+            << opt.seed;
+  if (opt.mitigate) {
+    std::cout << ", mitigation on/off pairs, budget " << sim::ToMs(options.budget) << " ms";
+  }
+  std::cout << '\n';
+  const fault::ChaosMatrixResult result =
+      fault::RunChaosMatrix(selected, opt.seed, opt.chaos_seeds, opt.jobs, options);
   fault::RenderChaosTable(std::cout, result);
 
   if (!opt.chaos_out.empty()) {
     std::ofstream os{opt.chaos_out};
     if (!os) throw std::runtime_error("cannot write " + opt.chaos_out);
-    fault::WriteChaosJson(os, result, opt.seed, opt.chaos_seeds, probe.jobs());
+    fault::WriteChaosJson(os, result);
     std::cout << "wrote " << opt.chaos_out << '\n';
   }
 
@@ -759,11 +763,13 @@ int RunChaos(const Options& opt) {
   if (opt.fleet()) {
     // Outcomes arrive in index order regardless of --jobs, so the fold
     // (and therefore the report bytes and SLO windows) is reproducible.
+    // World outcomes carry no session summary and are skipped.
     obs::fleet::FleetAggregator aggregator;
     obs::fleet::SloEngine engine{LoadSlos(opt)};
     for (const fault::ChaosOutcome& o : result.outcomes) {
-      aggregator.Fold(o.summary);
-      engine.Observe(o.summary);
+      if (!o.summary) continue;
+      aggregator.Fold(*o.summary);
+      engine.Observe(*o.summary);
     }
     const int fleet_code = FinishFleet(opt, aggregator, engine);
     if (exit_code == 0) exit_code = fleet_code;
@@ -858,21 +864,6 @@ int RunResilient(const Options& opt) {
   return 0;
 }
 
-world::WorldConfig BuildWorldConfig(const Options& opt) {
-  world::WorldConfig config;
-  config.seed = opt.seed;
-  config.ues = opt.world_ues;
-  config.cells = opt.world_cells;
-  // The engine rejects layouts with empty shards; the CLI keeps its
-  // documented clamp-to-cells behaviour instead of erroring out.
-  config.shards = std::max<std::size_t>(1, std::min(opt.world_shards, opt.world_cells));
-  config.threaded = opt.world_mode != "seq";
-  config.duration = sim::Duration{std::chrono::seconds{opt.duration_s}};
-  config.handover_every = opt.world_handover_every;
-  config.correlate_jobs = opt.jobs;
-  return config;
-}
-
 void PrintWorldSummary(const world::WorldResult& result) {
   std::cout << "world: " << result.shards << " shard(s) ("
             << (result.threaded ? "threaded" : "sequential") << "), "
@@ -903,34 +894,6 @@ void PrintWorldSummary(const world::WorldResult& result) {
 /// World mode: the sharded multi-cell engine. Returns the process exit
 /// code (nonzero on conservation violation or cross-check mismatch).
 int RunWorld(const Options& opt) {
-  if (opt.world_mode != "threads" && opt.world_mode != "seq") {
-    std::cerr << "--world-mode must be 'threads' or 'seq'\n";
-    return 2;
-  }
-
-  if (opt.world_chaos) {
-    fault::WorldChaosConfig config;
-    config.seed = opt.seed;
-    config.ues = opt.world_ues;
-    config.cells = opt.world_cells;
-    config.shards = opt.world_shards;
-    config.threaded = opt.world_mode != "seq";
-    config.duration = sim::Duration{std::chrono::seconds{opt.duration_s}};
-    if (opt.world_handover_every > 0) {
-      config.handover_every = opt.world_handover_every;
-    }
-    const fault::WorldChaosOutcome outcome = fault::RunWorldChaos(config);
-    std::cout << "world chaos: cell " << config.outage_cell << " outage, clean "
-              << outcome.clean.delivered << " delivered vs faulted "
-              << outcome.faulted.delivered << '\n';
-    for (const std::string& violation : outcome.violations) {
-      std::cerr << "violation: " << violation << '\n';
-    }
-    std::cout << "world chaos invariants: "
-              << (outcome.invariants_ok ? "PASS" : "FAIL") << '\n';
-    return outcome.invariants_ok ? 0 : 1;
-  }
-
   world::WorldResult result;
   if (opt.world_supervised()) {
     resilience::WorldSupervisorOptions options;
@@ -1049,6 +1012,10 @@ int main(int argc, char** argv) {
         std::cout << s.name << " — " << s.description << '\n';
       }
       return 0;
+    }
+    if (opt.world() && opt.world_mode != "threads" && opt.world_mode != "seq") {
+      std::cerr << "--world-mode must be 'threads' or 'seq'\n";
+      return 2;
     }
     if (!opt.chaos.empty()) return RunChaos(opt);
     if (opt.world()) return RunWorld(opt);

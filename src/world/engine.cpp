@@ -199,9 +199,8 @@ void WorldEngine::RunShardWindow(std::size_t s, std::uint64_t window,
   // configured window — before delivering any of that window's mail, so
   // windows 1..crash_window-1 are exactly what an uninterrupted run saw.
   if (s == crash_shard_ && window == config_.crash_window) {
-    throw ShardCrash(s, window,
-                     "injected crash: shard " + std::to_string(s) +
-                         " died entering window " + std::to_string(window));
+    throw ShardCrash("injected crash: shard " + std::to_string(s) +
+                     " died entering window " + std::to_string(window));
   }
 
   Shard& shard = *shards_[s];

@@ -58,15 +58,7 @@ namespace athena::world {
 /// join — the supervisor's cue to restore from the latest snapshot.
 class ShardCrash : public sim::InjectedCrash {
  public:
-  ShardCrash(std::size_t shard, std::uint64_t window, const std::string& what)
-      : sim::InjectedCrash(what), shard_(shard), window_(window) {}
-
-  [[nodiscard]] std::size_t shard() const { return shard_; }
-  [[nodiscard]] std::uint64_t window() const { return window_; }
-
- private:
-  std::size_t shard_ = 0;
-  std::uint64_t window_ = 0;
+  using sim::InjectedCrash::InjectedCrash;
 };
 
 struct WorldResult {

@@ -323,10 +323,11 @@ TEST(ChaosTest, CleanBaselineStaysPristine) {
   ASSERT_NE(clean, nullptr);
   const fault::ChaosOutcome o = fault::RunChaosScenario(*clean, 42);
   EXPECT_TRUE(o.ok()) << o.failure;
-  EXPECT_FALSE(o.health_degraded);
-  EXPECT_EQ(o.faults_injected, 0u);
-  EXPECT_EQ(o.telemetry_gap_anomalies, 0u);
-  EXPECT_GT(o.packets_correlated, 0u);
+  const fault::SessionEvidence& e = o.session();
+  EXPECT_FALSE(e.health_degraded);
+  EXPECT_EQ(e.faults_injected, 0u);
+  EXPECT_EQ(e.telemetry_gap_anomalies, 0u);
+  EXPECT_GT(e.packets_correlated, 0u);
 }
 
 TEST(ChaosTest, LossyScenarioReportsDegradationLoudly) {
@@ -335,10 +336,11 @@ TEST(ChaosTest, LossyScenarioReportsDegradationLoudly) {
   ASSERT_NE(drop, nullptr);
   const fault::ChaosOutcome o = fault::RunChaosScenario(*drop, 42);
   EXPECT_TRUE(o.ok()) << o.failure;
-  EXPECT_TRUE(o.health_degraded);
-  EXPECT_GE(o.telemetry_gap_anomalies, 1u);
-  EXPECT_LT(o.mean_match_confidence, 0.95);
-  EXPECT_GT(o.faults_injected, 0u);
+  const fault::SessionEvidence& e = o.session();
+  EXPECT_TRUE(e.health_degraded);
+  EXPECT_GE(e.telemetry_gap_anomalies, 1u);
+  EXPECT_LT(e.mean_match_confidence, 0.95);
+  EXPECT_GT(e.faults_injected, 0u);
 }
 
 TEST(ChaosTest, MatrixIsIdenticalForAnyJobCount) {

@@ -328,13 +328,13 @@ TEST(FleetMatrixTest, ReportBytesIdenticalAcrossJobCounts) {
   std::vector<std::string> reports;
   for (const unsigned jobs : {1u, 2u, 8u}) {
     const fault::ChaosMatrixResult result =
-        fault::RunChaosMatrix(scenarios, 7, 2, jobs, /*summarize=*/true);
+        fault::RunChaosMatrix(scenarios, 7, 2, jobs, {.summarize = true});
     FleetAggregator aggregator;
     SloEngine engine;
     for (const fault::ChaosOutcome& o : result.outcomes) {
-      ASSERT_TRUE(o.summary.valid) << o.scenario << " seed " << o.seed;
-      aggregator.Fold(o.summary);
-      engine.Observe(o.summary);
+      ASSERT_TRUE(o.summary && o.summary->valid) << o.scenario << " seed " << o.seed;
+      aggregator.Fold(*o.summary);
+      engine.Observe(*o.summary);
     }
     reports.push_back(ReportBytes(aggregator, engine));
   }
@@ -357,10 +357,11 @@ TEST(FleetMatrixTest, SupervisedScenarioStillProducesASummary) {
   const fault::ChaosScenario* kill = fault::FindScenario(catalog, "kill_restore_midrun");
   ASSERT_NE(kill, nullptr);
   const fault::ChaosOutcome outcome =
-      fault::RunChaosScenario(*kill, 11, /*summarize=*/true);
+      fault::RunChaosScenario(*kill, 11, {.summarize = true});
   EXPECT_TRUE(outcome.ok()) << outcome.failure;
-  EXPECT_TRUE(outcome.summary.valid);
-  EXPECT_GT(outcome.summary.metric(FleetMetric::kUplinkOwdMs).count, 0u);
+  ASSERT_TRUE(outcome.summary.has_value());
+  EXPECT_TRUE(outcome.summary->valid);
+  EXPECT_GT(outcome.summary->metric(FleetMetric::kUplinkOwdMs).count, 0u);
 }
 
 }  // namespace

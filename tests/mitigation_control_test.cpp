@@ -25,7 +25,6 @@
 
 #include "app/session.hpp"
 #include "fault/chaos.hpp"
-#include "fault/mitigation_chaos.hpp"
 #include "mitigation/control/controller.hpp"
 #include "mitigation/control/runtime.hpp"
 #include "net/capacity_trace.hpp"
@@ -353,11 +352,14 @@ std::vector<fault::ChaosScenario> GuardedScenarios() {
   return out;
 }
 
-std::string MatrixJson(const fault::MitigationMatrixResult& result, std::size_t seeds) {
+constexpr fault::ChaosRunOptions kMitigate{.mitigate = true};
+
+std::string MatrixJson(fault::ChaosMatrixResult result) {
   std::ostringstream os;
   // jobs written as 0 so serializations from different job counts are
   // directly byte-comparable.
-  fault::WriteMitigationJson(os, result, 42, seeds, 0, 50ms);
+  result.jobs = 0;
+  fault::WriteChaosJson(os, result);
   return os.str();
 }
 
@@ -365,30 +367,31 @@ TEST(MitigationMatrixTest, ByteIdenticalAcrossJobCounts) {
   const auto scenarios = GuardedScenarios();
   ASSERT_GE(scenarios.size(), 2u);  // lying_telemetry + actuate_during_handover
 
-  const auto seq = fault::RunMitigationMatrix(scenarios, 42, 2, 1);
-  const auto par = fault::RunMitigationMatrix(scenarios, 42, 2, 8);
+  const auto seq = fault::RunChaosMatrix(scenarios, 42, 2, 1, kMitigate);
+  const auto par = fault::RunChaosMatrix(scenarios, 42, 2, 8, kMitigate);
   ASSERT_EQ(seq.outcomes.size(), par.outcomes.size());
   for (std::size_t i = 0; i < seq.outcomes.size(); ++i) {
-    EXPECT_EQ(seq.outcomes[i].ledger_digest, par.outcomes[i].ledger_digest)
+    EXPECT_EQ(seq.outcomes[i].digest, par.outcomes[i].digest)
         << seq.outcomes[i].scenario << " seed " << seq.outcomes[i].seed;
-    EXPECT_EQ(seq.outcomes[i].decisions, par.outcomes[i].decisions);
+    EXPECT_EQ(seq.outcomes[i].mitigation().decisions, par.outcomes[i].mitigation().decisions);
   }
-  EXPECT_EQ(MatrixJson(seq, 2), MatrixJson(par, 2));
+  EXPECT_EQ(MatrixJson(seq), MatrixJson(par));
 }
 
 TEST(MitigationMatrixTest, GuardedScenariosEngageGuardrailsAndHoldQoe) {
   const auto scenarios = GuardedScenarios();
   ASSERT_GE(scenarios.size(), 2u);
 
-  const auto result = fault::RunMitigationMatrix(scenarios, 42, 2, 2);
+  const auto result = fault::RunChaosMatrix(scenarios, 42, 2, 2, kMitigate);
   ASSERT_EQ(result.outcomes.size(), scenarios.size() * 2);
-  for (const fault::MitigationOutcome& o : result.outcomes) {
+  for (const fault::ChaosOutcome& o : result.outcomes) {
     EXPECT_TRUE(o.ok()) << o.scenario << " seed " << o.seed << ": " << o.failure;
+    const fault::MitigationEvidence& e = o.mitigation();
     // Hostile telemetry must visibly hit a guardrail: a refusal or a
     // fail-safe revert, never a silent pass-through.
-    EXPECT_GT(o.guardrail_blocks + o.reverts, 0u) << o.scenario;
-    EXPECT_TRUE(o.budget_ok) << o.scenario << ": " << o.max_sense_to_act_us << "us";
-    EXPECT_TRUE(o.qoe_ok) << o.scenario;
+    EXPECT_GT(e.guardrail_blocks + e.reverts, 0u) << o.scenario;
+    EXPECT_TRUE(e.budget_ok) << o.scenario << ": " << e.max_sense_to_act_us << "us";
+    EXPECT_TRUE(e.qoe_ok) << o.scenario;
   }
   EXPECT_TRUE(result.all_ok());
 }
@@ -396,9 +399,9 @@ TEST(MitigationMatrixTest, GuardedScenariosEngageGuardrailsAndHoldQoe) {
 TEST(MitigationMatrixTest, RepeatedRunsAreByteIdentical) {
   const auto scenarios = GuardedScenarios();
   ASSERT_FALSE(scenarios.empty());
-  const auto a = fault::RunMitigationMatrix(scenarios, 42, 1, 2);
-  const auto b = fault::RunMitigationMatrix(scenarios, 42, 1, 2);
-  EXPECT_EQ(MatrixJson(a, 1), MatrixJson(b, 1));
+  const auto a = fault::RunChaosMatrix(scenarios, 42, 1, 2, kMitigate);
+  const auto b = fault::RunChaosMatrix(scenarios, 42, 1, 2, kMitigate);
+  EXPECT_EQ(MatrixJson(a), MatrixJson(b));
 }
 
 // --- checkpoint/restore: the ledger joins the byte-identity surface ---

@@ -9,12 +9,13 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "fault/world_chaos.hpp"
+#include "fault/chaos.hpp"
 #include "resilience/world_checkpoint.hpp"
 #include "resilience/world_supervisor.hpp"
 #include "sim/check.hpp"
@@ -282,32 +283,29 @@ TEST(WorldQuarantineTest, QuarantineIsLayoutInvariant) {
   EXPECT_EQ(one.stranded, eight.stranded);
 }
 
+/// Runs a world scenario of the chaos catalog (16 UEs on 4 cells, 2
+/// threaded shards, 300 ms) at seed 7.
+fault::ChaosOutcome RunCatalogWorld(std::string_view name) {
+  const auto catalog = fault::BuiltinScenarios();
+  const fault::ChaosScenario* scenario = fault::FindScenario(catalog, name);
+  EXPECT_NE(scenario, nullptr) << name;
+  return scenario != nullptr ? fault::RunChaosScenario(*scenario, 7) : fault::ChaosOutcome{};
+}
+
 TEST(WorldChaosScenarioTest, ShardCrashRestoreContractHolds) {
-  fault::WorldChaosConfig config;
-  config.ues = 16;
-  config.cells = 4;
-  config.shards = 2;
-  config.duration = sim::Duration{300ms};
-  config.checkpoint_every = 48;
-  const fault::WorldSupervisionOutcome outcome = fault::RunShardCrashRestore(config);
-  EXPECT_TRUE(outcome.invariants_ok)
-      << (outcome.violations.empty() ? "" : outcome.violations.front());
-  EXPECT_GE(outcome.supervised.checkpoints_taken, 1u);
-  EXPECT_EQ(outcome.supervised.result.digest, outcome.clean.digest);
+  const fault::ChaosOutcome outcome = RunCatalogWorld("world_shard_crash_restore");
+  EXPECT_TRUE(outcome.ok()) << outcome.failure;
+  const fault::WorldEvidence& e = outcome.world();
+  EXPECT_GE(e.faulted.checkpoints_taken, 1u);
+  EXPECT_EQ(e.faulted.result.digest, e.clean.digest);
 }
 
 TEST(WorldChaosScenarioTest, CellQuarantineContractHolds) {
-  fault::WorldChaosConfig config;
-  config.ues = 16;
-  config.cells = 4;
-  config.shards = 2;
-  config.duration = sim::Duration{300ms};
-  config.checkpoint_every = 48;
-  const fault::WorldSupervisionOutcome outcome = fault::RunCellQuarantine(config);
-  EXPECT_TRUE(outcome.invariants_ok)
-      << (outcome.violations.empty() ? "" : outcome.violations.front());
-  EXPECT_FALSE(outcome.supervised.quarantined_cells.empty());
-  EXPECT_TRUE(outcome.supervised.result.conservation_ok);
+  const fault::ChaosOutcome outcome = RunCatalogWorld("world_cell_quarantine");
+  EXPECT_TRUE(outcome.ok()) << outcome.failure;
+  const fault::WorldEvidence& e = outcome.world();
+  EXPECT_FALSE(e.faulted.quarantined_cells.empty());
+  EXPECT_TRUE(e.faulted.result.conservation_ok);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "fault/world_chaos.hpp"
+#include "fault/chaos.hpp"
 #include "sim/check.hpp"
 #include "world/engine.hpp"
 
@@ -183,18 +183,42 @@ TEST(WorldValidationTest, RunIsSingleShot) {
   EXPECT_THROW((void)engine.Run(), sim::CheckViolation);
 }
 
+fault::ChaosScenario OutageScenario() {
+  const auto catalog = fault::BuiltinScenarios();
+  const fault::ChaosScenario* outage = fault::FindScenario(catalog, "world_cell_outage");
+  EXPECT_NE(outage, nullptr);
+  return outage != nullptr ? *outage : fault::ChaosScenario{};
+}
+
 TEST(WorldChaosTest, CellOutageContractHolds) {
-  fault::WorldChaosConfig config;
-  config.ues = 24;
-  config.cells = 4;
-  config.shards = 2;
-  config.duration = sim::Duration{400ms};
-  const fault::WorldChaosOutcome outcome = fault::RunWorldChaos(config);
-  EXPECT_TRUE(outcome.invariants_ok)
-      << (outcome.violations.empty() ? "" : outcome.violations.front());
-  EXPECT_TRUE(outcome.clean.conservation_ok);
-  EXPECT_TRUE(outcome.faulted.conservation_ok);
-  EXPECT_LT(outcome.faulted.delivered, outcome.clean.delivered);
+  // The catalog shape: 24 UEs on 4 cells, 2 threaded shards, 400 ms.
+  const fault::ChaosOutcome outcome = fault::RunChaosScenario(OutageScenario(), 7);
+  EXPECT_TRUE(outcome.ok()) << outcome.failure;
+  const fault::WorldEvidence& e = outcome.world();
+  EXPECT_TRUE(e.clean.conservation_ok);
+  EXPECT_TRUE(e.faulted.result.conservation_ok);
+  // Half of cell 0's population stays put at this shape, so the outage
+  // also costs world-wide delivery.
+  EXPECT_LT(e.faulted.result.delivered, e.clean.delivered);
+}
+
+TEST(WorldChaosTest, OutageContractHoldsWhenTheOutagePopulationHandsOver) {
+  // The CLI shape: with cells == handover_every every cell-0 UE hands
+  // over during the outage and carries its backlog to cell 1, so world
+  // delivery need not drop. The outage cell's own group must still show
+  // the fault.
+  fault::ChaosScenario scenario = OutageScenario();
+  scenario.shape = {.ues = 256, .cells = 8, .shards = 4, .threaded = true,
+                    .handover_every = 8};
+  scenario.duration = sim::Duration{1s};
+  const fault::ChaosOutcome outcome = fault::RunChaosScenario(scenario, 42);
+  EXPECT_TRUE(outcome.ok()) << outcome.failure;
+
+  const fault::WorldEvidence& e = outcome.world();
+  const auto& clean = e.clean.report.scenarios.at("world-chaos/cell0").metrics;
+  const auto& hit = e.faulted.result.report.scenarios.at("world-chaos/cell0").metrics;
+  EXPECT_GT(hit.at("uplink_owd_ms").mean, clean.at("uplink_owd_ms").mean);
+  EXPECT_GE(hit.at("frame_late_fraction").mean, clean.at("frame_late_fraction").mean);
 }
 
 }  // namespace
