@@ -770,6 +770,7 @@ void CheckCellOutage(const world::WorldConfig& base, ChaosOutcome& out, WorldEvi
   using obs::fleet::FleetMetric;
   const double owd_clean = GroupMean(clean_group->second, FleetMetric::kUplinkOwdMs);
   const double owd_hit = GroupMean(hit_group->second, FleetMetric::kUplinkOwdMs);
+  ev.outage_group_owd = WorldEvidence::GroupOwd{owd_clean, owd_hit};
   if (!(owd_hit > owd_clean)) {
     Fail(out, "cell outage did not raise its population's uplink OWD mean (" +
                   std::to_string(owd_hit) + " <= " + std::to_string(owd_clean) + " ms)");
@@ -1000,6 +1001,10 @@ struct EvidenceJson {
        << ", \"crashes\": " << e.faulted.crashes << ", \"restarts\": " << e.faulted.restarts
        << ", \"checkpoints\": " << e.faulted.checkpoints_taken
        << ", \"quarantined_cells\": " << r.quarantined_cells.size();
+    if (e.outage_group_owd) {
+      os << ", \"outage_group_owd_ms\": " << e.outage_group_owd->faulted_ms
+         << ", \"clean_outage_group_owd_ms\": " << e.outage_group_owd->clean_ms;
+    }
   }
 };
 
@@ -1038,6 +1043,10 @@ struct EvidenceRow {
        << " conservation=" << (r.conservation_ok ? "ok" : "VIOLATED")
        << " crashes=" << e.faulted.crashes << " restarts=" << e.faulted.restarts
        << " quarantined=" << r.quarantined_cells.size();
+    if (e.outage_group_owd) {
+      os << " group_owd_ms=" << e.outage_group_owd->clean_ms << "->"
+         << e.outage_group_owd->faulted_ms;
+    }
   }
 };
 

@@ -204,6 +204,15 @@ struct MitigationEvidence {
 struct WorldEvidence {
   world::WorldResult clean;
   resilience::WorldSupervisedOutcome faulted;
+  /// Cell outage only: the uplink OWD mean (ms) of the population that
+  /// started on the dark cell, clean and faulted — what the contract
+  /// judges. World-wide delivery can rise under an outage when that
+  /// population hands its backlog to a live cell.
+  struct GroupOwd {
+    double clean_ms = 0.0;
+    double faulted_ms = 0.0;
+  };
+  std::optional<GroupOwd> outage_group_owd;
 };
 
 /// One run's verdict, next to the evidence of whichever contract ran.

@@ -53,25 +53,26 @@ double TunableGrantPolicy::set_proactive_scale(double scale) {
 GrantPolicy::Decision BsrGrantPolicy::OnUplinkSlot(const SlotInfo& slot) {
   // Matured requested grants take the slot's PUSCH; otherwise the standing
   // proactive grant (if configured) does.
-  std::uint32_t requested = 0;
-  while (!pending_.empty() && pending_.front().usable_from <= slot.slot_time) {
-    requested += pending_.front().bytes;
-    pending_.pop_front();
-  }
-  if (requested > 0) {
-    const std::uint32_t tbs = std::min(requested, slot.available_bytes);
-    // Capacity-clipped remainder stays pending for the next slot (the
-    // grant was promised; cross traffic merely delays it).
-    const std::uint32_t leftover = requested - tbs;
-    if (leftover > 0) {
-      pending_.push_front(PendingGrant{slot.slot_time + config_.ul_slot_period, leftover});
-    }
-    outstanding_ -= tbs;
-    return Decision{tbs, GrantType::kRequested};
-  }
+  const std::uint32_t requested = IssueMatured(slot.slot_time, slot.available_bytes);
+  if (requested > 0) return Decision{requested, GrantType::kRequested};
   const std::uint32_t proactive =
       std::min(config_.proactive_grant_bytes, slot.available_bytes);
   return Decision{proactive, GrantType::kProactive};
+}
+
+std::uint32_t BsrGrantPolicy::IssueMatured(sim::TimePoint slot_time, std::uint32_t budget) {
+  std::uint32_t requested = 0;
+  while (!pending_.empty() && pending_.front().usable_from <= slot_time) {
+    requested += pending_.front().bytes;
+    pending_.pop_front();
+  }
+  const std::uint32_t tbs = std::min(requested, budget);
+  const std::uint32_t leftover = requested - tbs;
+  if (leftover > 0) {
+    pending_.push_front(PendingGrant{slot_time + config_.ul_slot_period, leftover});
+  }
+  outstanding_ -= tbs;
+  return tbs;
 }
 
 void BsrGrantPolicy::OnBsrDecoded(sim::TimePoint decoded_at, std::uint32_t reported_bytes) {
@@ -93,39 +94,26 @@ void BsrGrantPolicy::OnTbFilled(sim::TimePoint, const Decision&, std::uint32_t) 
   // spot is the §3.1 waste finding.
 }
 
-std::vector<MultiUeGrantPolicy::Allocation> SharedBsrGrantPolicy::OnUplinkSlot(
-    sim::TimePoint slot_time, std::uint64_t slot_index, std::uint32_t available_bytes,
-    const std::vector<UeDemand>& demand) {
-  if (demand.empty() || available_bytes == 0) return {};
+void SharedBsrGrantPolicy::OnUplinkSlot(sim::TimePoint slot_time, std::uint64_t slot_index,
+                                        std::uint32_t available_bytes,
+                                        const std::vector<UeDemand>& demand,
+                                        std::vector<Allocation>& out) {
+  out.clear();
+  if (demand.empty() || available_bytes == 0) return;
   std::uint32_t budget = available_bytes;
 
   // One entry per demand position (so in UE-id order); tbs_bytes 0 marks a
   // UE without a grant this slot — every real grant is > 0.
-  std::vector<Allocation> granted(demand.size());
+  out.resize(demand.size());
 
-  // Pass 1 — matured requested grants, in UE-id order. A grant the budget
-  // cannot honour stays pending for the next slot (it was promised; the
-  // contention merely delays it — the §3.1 delay, now population-induced).
+  // Pass 1 — matured requested grants, in UE-id order.
   for (std::size_t i = 0; i < demand.size() && budget > 0; ++i) {
-    const UeDemand& d = demand[i];
-    auto it = ues_.find(d.ue);
+    auto it = ues_.find(demand[i].ue);
     if (it == ues_.end()) continue;
-    UeState& state = it->second;
-    std::uint32_t requested = 0;
-    while (!state.pending.empty() && state.pending.front().usable_from <= slot_time) {
-      requested += state.pending.front().bytes;
-      state.pending.pop_front();
-    }
-    if (requested == 0) continue;
-    const std::uint32_t tbs = std::min(requested, budget);
-    const std::uint32_t leftover = requested - tbs;
-    if (leftover > 0) {
-      state.pending.push_front(
-          PendingGrant{slot_time + config_.ul_slot_period, leftover});
-    }
-    state.outstanding -= tbs;
+    const std::uint32_t tbs = it->second.IssueMatured(slot_time, budget);
+    if (tbs == 0) continue;
     budget -= tbs;
-    granted[i] = Allocation{d.ue, tbs, GrantType::kRequested};
+    out[i] = Allocation{demand[i].ue, tbs, GrantType::kRequested};
   }
 
   // Pass 2 — proactive grants, round-robin from a slot-rotated offset so
@@ -136,32 +124,22 @@ std::vector<MultiUeGrantPolicy::Allocation> SharedBsrGrantPolicy::OnUplinkSlot(
     const std::size_t offset = static_cast<std::size_t>(slot_index % n);
     for (std::size_t i = 0; i < n && budget > 0; ++i) {
       const std::size_t slot = (offset + i) % n;
-      if (granted[slot].tbs_bytes != 0) continue;
+      if (out[slot].tbs_bytes != 0) continue;
       const std::uint32_t tbs = std::min(config_.proactive_grant_bytes, budget);
       budget -= tbs;
-      granted[slot] = Allocation{demand[slot].ue, tbs, GrantType::kProactive};
+      out[slot] = Allocation{demand[slot].ue, tbs, GrantType::kProactive};
     }
   }
 
-  std::erase_if(granted, [](const Allocation& alloc) { return alloc.tbs_bytes == 0; });
-  return granted;
+  std::erase_if(out, [](const Allocation& alloc) { return alloc.tbs_bytes == 0; });
 }
 
 void SharedBsrGrantPolicy::OnBsrDecoded(std::uint32_t ue, sim::TimePoint decoded_at,
                                         std::uint32_t reported_bytes) {
-  UeState& state = ues_[ue];
-  if (reported_bytes <= state.outstanding) return;  // demand already covered
-  const std::uint32_t grant = reported_bytes - state.outstanding;
-  state.outstanding += grant;
-  const auto delay_us = config_.bsr_scheduling_delay.count();
-  const auto period_us = config_.ul_slot_period.count();
-  const auto target = decoded_at.us() + delay_us;
-  const auto aligned = ((target + period_us - 1) / period_us) * period_us;
-  state.pending.push_back(PendingGrant{sim::TimePoint{sim::Duration{aligned}}, grant});
+  ues_.try_emplace(ue, config_).first->second.OnBsrDecoded(decoded_at, reported_bytes);
 }
 
-void SharedBsrGrantPolicy::OnTbFilled(std::uint32_t, sim::TimePoint, std::uint32_t,
-                                      std::uint32_t) {
+void SharedBsrGrantPolicy::OnTbFilled(sim::TimePoint, const Allocation&, std::uint32_t) {
   // Same learning blind spot as the single-UE baseline.
 }
 

@@ -58,6 +58,12 @@ class BsrGrantPolicy : public GrantPolicy {
   void OnTbFilled(sim::TimePoint slot_time, const Decision& grant,
                   std::uint32_t used_bytes) override;
 
+  /// Issues the requested grants matured by `slot_time`, up to `budget`
+  /// bytes; returns the bytes issued (0 when nothing matured). A
+  /// remainder the budget cannot honour stays pending for the next slot:
+  /// it was promised, and contention merely delays it.
+  std::uint32_t IssueMatured(sim::TimePoint slot_time, std::uint32_t budget);
+
   /// Requested-grant bytes scheduled but not yet issued (diagnostics).
   [[nodiscard]] std::uint32_t outstanding_requested_bytes() const { return outstanding_; }
 
@@ -123,12 +129,12 @@ class TunableGrantPolicy final : public GrantPolicy {
   std::uint64_t mode_switches_ = 0;
 };
 
-/// Multi-UE scheduler: divides one cell's per-slot PUSCH budget among N
-/// contending UEs (the world engine's PRB-contention model). The same
-/// per-UE BSR machinery as GrantPolicy, plus an explicit budget split —
-/// under load, a UE's grant waits not only for the scheduling delay but
-/// for its *turn*, which is the population-level queueing the fleet
-/// reports surface.
+/// Multi-UE scheduler: divides one cell's per-slot PUSCH budget among the
+/// attached UEs. It is the policy seam of the one uplink scheduler
+/// (MultiUeUplink); the single-UE `GrantPolicy` reaches it through
+/// RanUplink's adapter. Under load a UE's grant waits not only for the
+/// scheduling delay but for its *turn*, which is the population-level
+/// queueing the fleet reports surface.
 class MultiUeGrantPolicy {
  public:
   virtual ~MultiUeGrantPolicy() = default;
@@ -144,59 +150,51 @@ class MultiUeGrantPolicy {
     GrantType grant = GrantType::kProactive;
   };
 
-  /// Splits `available_bytes` (capacity left after HARQ retransmissions)
-  /// among the UEs in `demand` (sorted by UE id). At most one allocation
-  /// per UE; allocations are returned in UE-id order so the caller's
-  /// transmit sequence is deterministic. `slot_index` rotates round-robin
-  /// fairness across slots.
-  [[nodiscard]] virtual std::vector<Allocation> OnUplinkSlot(
-      sim::TimePoint slot_time, std::uint64_t slot_index, std::uint32_t available_bytes,
-      const std::vector<UeDemand>& demand) = 0;
+  /// Splits `available_bytes` (capacity left after cross traffic and HARQ
+  /// retransmissions) among the UEs in `demand` (sorted by UE id) into
+  /// `out` (cleared first). At most one allocation per UE, in UE-id order
+  /// so the caller's transmit sequence is deterministic. `slot_index`
+  /// rotates round-robin fairness across slots.
+  virtual void OnUplinkSlot(sim::TimePoint slot_time, std::uint64_t slot_index,
+                            std::uint32_t available_bytes,
+                            const std::vector<UeDemand>& demand,
+                            std::vector<Allocation>& out) = 0;
 
   /// A BSR from `ue` decoded at the gNB (piggy-backed or via SR).
   virtual void OnBsrDecoded(std::uint32_t ue, sim::TimePoint decoded_at,
                             std::uint32_t reported_bytes) = 0;
 
-  /// The UE filled its granted TB with `used_bytes` of payload.
-  virtual void OnTbFilled(std::uint32_t ue, sim::TimePoint slot_time,
-                          std::uint32_t granted_bytes, std::uint32_t used_bytes) = 0;
+  /// The UE filled the TB `grant` allocated at `slot_time` with
+  /// `used_bytes` of payload.
+  virtual void OnTbFilled(sim::TimePoint slot_time, const Allocation& grant,
+                          std::uint32_t used_bytes) = 0;
 
   /// Forgets all scheduler state for `ue` (handover detach).
   virtual void OnUeRemoved(std::uint32_t ue) = 0;
 };
 
-/// The baseline multi-UE scheduler: per-UE BSR grant queues with the same
-/// §3.1 over-granting blind spot as BsrGrantPolicy, matured requested
-/// grants served in UE-id order, then proactive grants handed out
-/// round-robin (rotation offset = slot_index mod population) until the
-/// slot budget runs out.
+/// The baseline multi-UE scheduler: one BsrGrantPolicy per UE (the same
+/// §3.1 over-granting blind spot), matured requested grants served in
+/// UE-id order, then proactive grants handed out round-robin (rotation
+/// offset = slot_index mod population) until the slot budget runs out.
 class SharedBsrGrantPolicy : public MultiUeGrantPolicy {
  public:
   explicit SharedBsrGrantPolicy(const RanConfig& config) : config_(config) {}
 
-  std::vector<Allocation> OnUplinkSlot(sim::TimePoint slot_time, std::uint64_t slot_index,
-                                       std::uint32_t available_bytes,
-                                       const std::vector<UeDemand>& demand) override;
+  void OnUplinkSlot(sim::TimePoint slot_time, std::uint64_t slot_index,
+                    std::uint32_t available_bytes, const std::vector<UeDemand>& demand,
+                    std::vector<Allocation>& out) override;
   void OnBsrDecoded(std::uint32_t ue, sim::TimePoint decoded_at,
                     std::uint32_t reported_bytes) override;
-  void OnTbFilled(std::uint32_t ue, sim::TimePoint slot_time, std::uint32_t granted_bytes,
+  void OnTbFilled(sim::TimePoint slot_time, const Allocation& grant,
                   std::uint32_t used_bytes) override;
   void OnUeRemoved(std::uint32_t ue) override;
 
  private:
-  struct PendingGrant {
-    sim::TimePoint usable_from;
-    std::uint32_t bytes = 0;
-  };
-  struct UeState {
-    std::deque<PendingGrant> pending;
-    std::uint32_t outstanding = 0;
-  };
-
   RanConfig config_;
   /// Ordered map: every per-slot iteration is in UE-id order, so the
   /// allocation sequence is a pure function of (slot, demand, state).
-  std::map<std::uint32_t, UeState> ues_;
+  std::map<std::uint32_t, BsrGrantPolicy> ues_;
 };
 
 }  // namespace athena::ran

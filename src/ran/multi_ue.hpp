@@ -1,12 +1,16 @@
-// The multi-UE 5G uplink: one cell, N contending UEs.
+// The 5G uplink scheduler: one cell, N contending UEs. This is the one
+// uplink slot loop in the simulator, the system under measurement in §§2–3:
+// every delay artifact the paper explains (2.5 ms delay-spread
+// quantization, ~10 ms BSR scheduling delay, 10 ms HARQ inflation,
+// over-granting, empty-TB retransmissions) is an emergent behaviour of
+// this component.
 //
-// `RanUplink` (uplink.hpp) models the paper's measured single-UE cell.
-// `MultiUeUplink` generalizes it to a population sharing the PUSCH: one
-// slot clock, one per-slot byte budget, per-UE RLC buffers / HARQ chains /
-// channel models, and a MultiUeGrantPolicy that divides the budget. All
-// single-UE mechanics (slot-grid alignment, BSR path, TB segmentation,
-// HARQ retransmission with soft-combining, ECN marking) are preserved
-// packet-for-packet; what changes is that grants now *compete*.
+// One slot clock, one per-slot byte budget (cell capacity minus competing
+// cross traffic), per-UE RLC buffers / HARQ chains / channel models, and
+// a MultiUeGrantPolicy that divides the budget. World cells run it with a
+// contending population; `RanUplink` (uplink.hpp) is the one-UE case the
+// paper measures, attaching a single UE and adapting the single-UE
+// GrantPolicy seam onto this one.
 //
 // UEs are mobile: a UE's radio-side state (`UeRadioState` — channel model,
 // RLC queue, undelivered-packet ledger, telemetry stream) can be detached
@@ -17,11 +21,12 @@
 //
 //   offered == delivered + lost + |in_flight|      (per UE, at any time)
 //
-// Unlike RanUplink, this class performs no ground-truth recording and
-// does not deliver to the core itself: decode completions surface through
-// a callback with the decode timestamp, and the caller (world::NrCell)
-// applies the gNB→core latency — in the sharded world that latency is a
-// cross-shard mailbox hop.
+// The core does not deliver to the mobile core itself: decode completions
+// surface through a callback with the decode timestamp, and the caller
+// applies the gNB→core latency (RanUplink schedules it; in the sharded
+// world it is a cross-shard mailbox hop). Ground-truth TB records are
+// kept only when the caller asks for them (sessions do, world cells do
+// not).
 #pragma once
 
 #include <cstdint>
@@ -35,6 +40,7 @@
 #include "net/packet.hpp"
 #include "ran/channel.hpp"
 #include "ran/config.hpp"
+#include "ran/cross_traffic.hpp"
 #include "ran/grant_policy.hpp"
 #include "ran/types.hpp"
 #include "sim/simulator.hpp"
@@ -87,20 +93,27 @@ struct UeRadioState {
 
 class MultiUeUplink {
  public:
-  /// Decode completion: `pkt` fully decoded for `ue` at `decoded_at` (the
-  /// slot time). The caller adds the gNB→core transfer latency.
-  using DeliverFn =
-      std::function<void(std::uint32_t ue, const net::Packet& pkt, sim::TimePoint decoded_at)>;
+  /// Decode completion: `delivered` (the packet and its modem arrival)
+  /// fully decoded for `ue` at `decoded_at` (the slot time). The caller
+  /// adds the gNB→core transfer latency.
+  using DeliverFn = std::function<void(std::uint32_t ue, const UeDeliveryState& delivered,
+                                       sim::TimePoint decoded_at)>;
 
   /// `cell_tag` namespaces TB/chain ids (bits 40+) so the telemetry
   /// streams of different cells never collide in a handed-over UE's
   /// concatenated stream. `policy` null = SharedBsrGrantPolicy baseline.
+  /// `cross_traffic` is served before any attached UE each slot.
+  /// `record_truth` keeps a TbTruth per new TB (see types.hpp).
   MultiUeUplink(sim::Simulator& sim, RanConfig config, std::uint32_t cell_tag,
-                std::unique_ptr<MultiUeGrantPolicy> policy = nullptr);
+                std::unique_ptr<MultiUeGrantPolicy> policy = nullptr,
+                CrossTraffic cross_traffic = CrossTraffic::Idle(sim::Rng{0}),
+                bool record_truth = false);
 
   /// Starts the slot clock (idempotent). Slots stay on the epoch-aligned
   /// UL grid, so every cell in a world ticks the same instants.
   void Start();
+  /// Cancels the slot clock. After Stop() no further TBs are transmitted
+  /// or decoded; buffered packets stay queued. Safe to call repeatedly.
   void Stop();
 
   /// Hands a UE's radio state to this cell. The UE takes part in grant
@@ -121,13 +134,22 @@ class MultiUeUplink {
 
   void set_deliver_sink(DeliverFn sink) { deliver_ = std::move(sink); }
 
+  /// Streams each telemetry record as it is produced (for online
+  /// consumers such as the §5.3 PHY-informed controller).
+  void set_telemetry_listener(std::function<void(const TbRecord&)> listener) {
+    telemetry_listener_ = std::move(listener);
+  }
+
   /// Cell-wide outage window (world-scale chaos): while now ∈
   /// [start, end) nothing transmits and HARQ retransmissions slide,
-  /// exactly like RanUplink's in-handover slots.
+  /// exactly like a slot in which every attached UE is in handover.
   void SetOutage(sim::TimePoint start, sim::TimePoint end) {
     outage_start_ = start;
     outage_end_ = end;
   }
+
+  /// Ground truth (empty unless constructed with `record_truth`).
+  [[nodiscard]] const std::vector<TbTruth>& truth() const { return truth_; }
 
   [[nodiscard]] const RanCounters& counters() const { return counters_; }
   [[nodiscard]] const RanConfig& config() const { return config_; }
@@ -156,27 +178,40 @@ class MultiUeUplink {
   };
 
   void OnUplinkSlot();
+  /// True when no attached UE has a serving radio this slot: a cell
+  /// outage, or every attached UE in handover.
+  [[nodiscard]] bool SlotSkipped(sim::TimePoint slot_time) const;
+  /// Builds and transmits a new-data TB of the allocated size.
   void TransmitNewTb(UeRadioState& ue_state, const MultiUeGrantPolicy::Allocation& alloc,
                      sim::TimePoint slot_time);
-  void Transmit(Tb tb, sim::TimePoint slot_time);
-  void OnTbDecoded(const Tb& tb, sim::TimePoint slot_time);
-  void OnChainDropped(const Tb& tb, sim::TimePoint slot_time);
+  /// Transmits (or retransmits) `tb` and samples its decode outcome.
+  void Transmit(UeRadioState& ue_state, Tb tb, sim::TimePoint slot_time);
+  void OnTbDecoded(UeRadioState& ue_state, const Tb& tb, sim::TimePoint slot_time);
+  /// Abandons a HARQ chain: its undelivered packets are lost.
+  void DropChain(UeRadioState& ue_state, const Tb& tb, sim::TimePoint now);
   void RecordTelemetry(UeRadioState& ue_state, const Tb& tb, sim::TimePoint slot_time,
                        bool crc_ok);
-  [[nodiscard]] bool InOutage(sim::TimePoint t) const {
-    return outage_end_ > outage_start_ && t >= outage_start_ && t < outage_end_;
-  }
+  [[nodiscard]] TbTruth* TruthFor(TbId chain_id);
 
   sim::Simulator& sim_;
   RanConfig config_;
   std::unique_ptr<MultiUeGrantPolicy> policy_;
+  CrossTraffic cross_traffic_;
   DeliverFn deliver_;
+  std::function<void(const TbRecord&)> telemetry_listener_;
 
   /// Ordered by UE id: all per-slot iteration is deterministic.
   std::map<std::uint32_t, UeRadioState> ues_;
   /// Retransmissions waiting for their slot, keyed by absolute slot time
   /// (µs); within a slot, insertion order.
   std::map<std::int64_t, std::vector<Tb>> pending_rtx_;
+  /// Per-slot scratch, kept to spare the slot loop two allocations.
+  std::vector<MultiUeGrantPolicy::UeDemand> demand_;
+  std::vector<MultiUeGrantPolicy::Allocation> allocations_;
+
+  bool record_truth_ = false;
+  std::vector<TbTruth> truth_;
+  std::unordered_map<TbId, std::size_t> truth_index_;  // chain_id → truth_ slot
 
   RanCounters counters_;
   TbId next_tb_id_ = 1;

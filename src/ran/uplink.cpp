@@ -1,307 +1,75 @@
 #include "ran/uplink.hpp"
 
-#include <algorithm>
-#include <cassert>
-
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace athena::ran {
+namespace {
+
+/// Maps the single-UE GrantPolicy seam onto the cell's: the one attached
+/// UE is offered the whole slot budget, and every BSR and TB fill is its.
+class SingleUePolicy final : public MultiUeGrantPolicy {
+ public:
+  explicit SingleUePolicy(std::unique_ptr<GrantPolicy> policy) : policy_(std::move(policy)) {}
+
+  [[nodiscard]] GrantPolicy& policy() { return *policy_; }
+
+  void OnUplinkSlot(sim::TimePoint slot_time, std::uint64_t, std::uint32_t available_bytes,
+                    const std::vector<UeDemand>& demand, std::vector<Allocation>& out) override {
+    out.clear();
+    const GrantPolicy::Decision d = policy_->OnUplinkSlot({slot_time, available_bytes});
+    out.push_back(Allocation{demand.front().ue, d.tbs_bytes, d.grant});
+  }
+  void OnBsrDecoded(std::uint32_t, sim::TimePoint decoded_at,
+                    std::uint32_t reported_bytes) override {
+    policy_->OnBsrDecoded(decoded_at, reported_bytes);
+  }
+  void OnTbFilled(sim::TimePoint slot_time, const Allocation& grant,
+                  std::uint32_t used_bytes) override {
+    policy_->OnTbFilled(slot_time, GrantPolicy::Decision{grant.tbs_bytes, grant.grant},
+                        used_bytes);
+  }
+  void OnUeRemoved(std::uint32_t) override {}
+
+ private:
+  std::unique_ptr<GrantPolicy> policy_;
+};
+
+std::unique_ptr<SingleUePolicy> AdaptPolicy(std::unique_ptr<GrantPolicy> policy,
+                                            const RanConfig& config) {
+  return std::make_unique<SingleUePolicy>(policy ? std::move(policy)
+                                                 : std::make_unique<BsrGrantPolicy>(config));
+}
+
+}  // namespace
 
 RanUplink::RanUplink(sim::Simulator& sim, RanConfig config, ChannelModel channel,
                      CrossTraffic cross_traffic, std::unique_ptr<GrantPolicy> policy)
     : sim_(sim),
-      config_(config),
-      channel_(channel),
-      cross_traffic_(std::move(cross_traffic)),
-      policy_(policy ? std::move(policy) : std::make_unique<BsrGrantPolicy>(config)) {}
-
-void RanUplink::Start() {
-  if (started_) return;
-  started_ = true;
-  // Align the first slot to the UL grid (slot 0 lives at the epoch).
-  const auto period = config_.ul_slot_period.count();
-  const auto now = sim_.Now().us();
-  const auto next = ((now / period) + 1) * period;
-  slot_timer_ =
-      sim_.ScheduleAt(sim::TimePoint{sim::Duration{next}}, [this] { OnUplinkSlot(); });
-}
-
-void RanUplink::Stop() {
-  if (!started_) return;
-  started_ = false;
-  sim_.Cancel(slot_timer_);
-}
-
-void RanUplink::SendFromUe(const net::Packet& p) {
-  assert(started_ && "offer traffic only after Start()");
-  queue_.push_back(QueuedPacket{p, p.size_bytes, sim_.Now()});
-  in_flight_.emplace(p.id, DeliveryState{p, p.size_bytes, sim_.Now()});
-}
-
-std::uint32_t RanUplink::EligibleBufferBytes(sim::TimePoint slot_time) const {
-  std::uint32_t bytes = 0;
-  for (const auto& q : queue_) {
-    if (q.enqueued_at + config_.ue_processing_delay <= slot_time) bytes += q.remaining;
-  }
-  return bytes;
-}
-
-std::uint32_t RanUplink::TotalBufferBytes() const {
-  std::uint32_t bytes = 0;
-  for (const auto& q : queue_) bytes += q.remaining;
-  return bytes;
-}
-
-std::uint32_t RanUplink::buffer_bytes() const { return TotalBufferBytes(); }
-
-void RanUplink::OnUplinkSlot() {
-  const sim::TimePoint slot_time = sim_.Now();
-  channel_.Tick(config_.ul_slot_period);
-  if (obs::trace_enabled()) {
-    obs::TraceCounter(obs::Layer::kRan, obs::names::kRanRlcBytes, slot_time,
-                      static_cast<double>(TotalBufferBytes()));
-  }
-
-  // During a handover the UE has no serving cell: nothing transmits and
-  // pending HARQ retransmissions slide to the next slot. Everything else
-  // queues — the source of the seconds-scale delay tail under mobility.
-  if (channel_.in_handover()) {
-    const auto due = pending_rtx_.find(slot_time.us());
-    if (due != pending_rtx_.end()) {
-      auto& next = pending_rtx_[(slot_time + config_.ul_slot_period).us()];
-      for (auto& tb : due->second) next.push_back(std::move(tb));
-      pending_rtx_.erase(due);
-    }
-    slot_timer_ = sim_.ScheduleAfter(config_.ul_slot_period, [this] { OnUplinkSlot(); });
-    return;
-  }
-
-  // Capacity budget for this slot: cell capacity minus competing UEs.
-  const std::uint32_t slot_capacity = config_.SlotCapacityBytes();
-  const std::uint32_t cross =
-      std::min(cross_traffic_.DemandBytes(slot_time, config_.ul_slot_period), slot_capacity);
-  std::uint32_t available = slot_capacity - cross;
-
-  // HARQ retransmissions preempt new data (they reuse their original
-  // allocation, so they always fit; clamp the remaining budget).
-  const auto rtx_it = pending_rtx_.find(slot_time.us());
-  if (rtx_it != pending_rtx_.end()) {
-    std::vector<Tb> due = std::move(rtx_it->second);
-    pending_rtx_.erase(rtx_it);
-    for (Tb& tb : due) {
-      available = available > tb.tbs ? available - tb.tbs : 0;
-      Transmit(std::move(tb), slot_time);
-    }
-  }
-
-  // New-data TB, sized by the grant policy.
-  const GrantPolicy::Decision grant =
-      policy_->OnUplinkSlot(GrantPolicy::SlotInfo{slot_time, available});
-  if (grant.tbs_bytes > 0) {
-    TransmitNewTb(grant, slot_time);
-  } else if (TotalBufferBytes() > 0) {
-    // No PUSCH this slot: demand travels via a scheduling request on the
-    // control channel (robust, not subject to data CRC).
-    ++counters_.bsr_sent;
-    policy_->OnBsrDecoded(slot_time, TotalBufferBytes());
-  }
-
-  slot_timer_ = sim_.ScheduleAfter(config_.ul_slot_period, [this] { OnUplinkSlot(); });
-}
-
-void RanUplink::TransmitNewTb(const GrantPolicy::Decision& grant, sim::TimePoint slot_time) {
-  Tb tb;
-  tb.id = next_tb_id_++;
-  tb.chain_id = tb.id;
-  tb.grant = grant.grant;
-  tb.tbs = grant.tbs_bytes;
-  tb.round = 0;
-  tb.first_tx_slot = slot_time;
-
-  // Fill from the RLC buffer: packets that reached the modem early enough
-  // for this slot, in FIFO order, with segmentation.
-  std::uint32_t room = tb.tbs;
-  while (room > 0 && !queue_.empty()) {
-    QueuedPacket& head = queue_.front();
-    if (head.enqueued_at + config_.ue_processing_delay > slot_time) break;
-    const std::uint32_t take = std::min(room, head.remaining);
-    head.remaining -= take;
-    room -= take;
-    tb.segments.push_back(Segment{head.pkt.id, take, head.remaining == 0});
-    if (config_.ecn_marking_threshold.count() > 0 &&
-        slot_time - head.enqueued_at > config_.ecn_marking_threshold) {
-      const auto flight = in_flight_.find(head.pkt.id);
-      if (flight != in_flight_.end()) flight->second.pkt.ecn_ce = true;
-      ++counters_.ecn_marked;
-    }
-    if (head.remaining == 0) queue_.pop_front();
-  }
-  tb.used = tb.tbs - room;
-
-  // Piggy-backed BSR: reports the buffer left *after* this fill; decoded
-  // by the gNB only if (a round of) the TB decodes.
-  const std::uint32_t remaining = TotalBufferBytes();
-  if (remaining > 0) {
-    tb.has_bsr = true;
-    tb.bsr_bytes = remaining;
-    ++counters_.bsr_sent;
-  }
-
-  ++counters_.tb_new;
-  counters_.granted_bytes += tb.tbs;
-  counters_.used_bytes += tb.used;
-  if (tb.used < tb.tbs) {
-    const std::uint32_t waste = tb.tbs - tb.used;
-    if (tb.grant == GrantType::kRequested) {
-      counters_.wasted_requested_bytes += waste;
-    } else {
-      counters_.wasted_proactive_bytes += waste;
-    }
-  }
-
-  truth_index_[tb.chain_id] = truth_.size();
-  TbTruth truth;
-  truth.chain_id = tb.chain_id;
-  truth.first_tx_slot = slot_time;
-  for (const auto& seg : tb.segments) {
-    truth.segments.push_back(SegmentTruth{seg.packet_id, seg.bytes, seg.last});
-  }
-  truth_.push_back(std::move(truth));
-
-  Transmit(std::move(tb), slot_time);
-}
-
-void RanUplink::Transmit(Tb tb, sim::TimePoint slot_time) {
-  ++counters_.tb_transmissions;
-  static thread_local obs::CachedCounter counter_tb_transmissions{"ran.tb_transmissions"};
-  counter_tb_transmissions.Inc();
-  if (tb.round > 0) {
-    ++counters_.tb_rtx;
-    static thread_local obs::CachedCounter counter_tb_rtx{"ran.tb_rtx"};
-    counter_tb_rtx.Inc();
-    if (tb.used == 0) ++counters_.empty_tb_rtx;
-  }
-  if (tb.used == 0) ++counters_.empty_tb_transmissions;
-
-  const bool crc_ok = channel_.SampleCrcOk(tb.round);
-  RecordTelemetry(tb, slot_time, crc_ok);
-
-  if (crc_ok) {
-    OnTbDecoded(tb, slot_time);
-    return;
-  }
-
-  ++counters_.tb_failed;
-  if (tb.round + 1 >= config_.max_harq_rounds) {
-    OnChainDropped(tb, slot_time);
-    return;
-  }
-  // The gNB NACKs; the UE retransmits one rtx_delay later. The base
-  // station requires this even of empty TBs (§3.2's waste observation).
-  Tb rtx = std::move(tb);
-  ++rtx.round;
-  // Align the retransmission to the UL slot grid (rtx_delay is a grid
-  // multiple in the paper's cell, but arbitrary configs must not lose TBs).
-  const auto period = config_.ul_slot_period.count();
-  const auto target = (slot_time + config_.rtx_delay).us();
-  const auto aligned = ((target + period - 1) / period) * period;
-  pending_rtx_[aligned].push_back(std::move(rtx));
-}
-
-void RanUplink::OnTbDecoded(const Tb& tb, sim::TimePoint slot_time) {
-  // Segments land; packets whose bytes are now all delivered move to the
-  // core after the gNB→core transfer delay.
-  for (const auto& seg : tb.segments) {
-    auto it = in_flight_.find(seg.packet_id);
-    if (it == in_flight_.end()) continue;  // packet aborted by a dropped chain
-    DeliveryState& state = it->second;
-    assert(state.undelivered >= seg.bytes);
-    state.undelivered -= seg.bytes;
-    if (state.undelivered == 0) {
-      const net::Packet pkt = state.pkt;
-      const sim::TimePoint enqueued_at = state.enqueued_at;
-      in_flight_.erase(it);
-      ++counters_.packets_delivered;
-      static thread_local obs::CachedCounter counter_packets_delivered{"ran.packets_delivered"};
-      counter_packets_delivered.Inc();
-      sim_.ScheduleAfter(config_.gnb_to_core_delay, [this, pkt, enqueued_at] {
-        obs::TraceAsyncSpan(obs::Layer::kRan, obs::names::kRanTransit, pkt.id, enqueued_at,
-                            sim_.Now(), {{"bytes", static_cast<double>(pkt.size_bytes)}});
-        if (core_sink_) core_sink_(pkt);
-      });
-    }
-  }
-
-  if (tb.round > 0) {
-    // The HARQ chain needed retransmissions: its whole first-tx → decode
-    // life is the "rtx inflation" the correlator will later blame.
-    obs::TraceAsyncSpan(obs::Layer::kRan, obs::names::kHarqChain, tb.chain_id, tb.first_tx_slot,
-                        slot_time,
-                        {{"rounds", static_cast<double>(tb.round)},
-                         {"used_bytes", static_cast<double>(tb.used)}});
-  }
-
-  if (tb.has_bsr) policy_->OnBsrDecoded(slot_time, tb.bsr_bytes);
-  policy_->OnTbFilled(tb.first_tx_slot,
-                      GrantPolicy::Decision{tb.tbs, tb.grant}, tb.used);
-
-  auto truth_it = truth_index_.find(tb.chain_id);
-  if (truth_it != truth_index_.end()) {
-    truth_[truth_it->second].delivered_at = slot_time;
-  }
-}
-
-void RanUplink::OnChainDropped(const Tb& tb, sim::TimePoint slot_time) {
-  ++counters_.tb_dropped_chains;
-  obs::TraceAsyncSpan(obs::Layer::kRan, obs::names::kHarqChain, tb.chain_id, tb.first_tx_slot,
-                      slot_time,
-                      {{"rounds", static_cast<double>(tb.round)}, {"dropped", 1.0}});
-  for (const auto& seg : tb.segments) {
-    auto it = in_flight_.find(seg.packet_id);
-    if (it == in_flight_.end()) continue;
-    in_flight_.erase(it);
-    ++counters_.packets_lost;
-    static thread_local obs::CachedCounter counter_packets_lost{"ran.packets_lost"};
-    counter_packets_lost.Inc();
-  }
-  auto truth_it = truth_index_.find(tb.chain_id);
-  if (truth_it != truth_index_.end()) {
-    truth_[truth_it->second].dropped = true;
-    truth_[truth_it->second].delivered_at = slot_time;
-  }
-  // A lost BSR still needs the demand to surface eventually; the SR path
-  // in OnUplinkSlot covers it the next time the UE has no grant... but with
-  // proactive grants always present, re-report via the next TB's BSR
-  // (remaining buffer is re-read each fill), so nothing to do here.
-}
-
-void RanUplink::RecordTelemetry(const Tb& tb, sim::TimePoint slot_time, bool crc_ok) {
-  telemetry_.push_back(TbRecord{
-      .tb_id = tb.round == 0 ? tb.id : next_tb_id_++,
-      .chain_id = tb.chain_id,
-      .slot_time = slot_time,
-      .grant = tb.grant,
-      .tbs_bytes = tb.tbs,
-      .used_bytes = tb.used,
-      .harq_round = tb.round,
-      .crc_ok = crc_ok,
+      cell_(sim, config, /*cell_tag=*/0, AdaptPolicy(std::move(policy), config),
+            std::move(cross_traffic), /*record_truth=*/true) {
+  policy_ = &static_cast<SingleUePolicy&>(cell_.policy()).policy();
+  UeRadioState ue;
+  ue.channel = channel;
+  cell_.AttachUe(kUe, std::move(ue));
+  cell_.set_deliver_sink([this](std::uint32_t, const UeDeliveryState& delivered,
+                                sim::TimePoint) {
+    sim_.ScheduleAfter(cell_.config().gnb_to_core_delay,
+                       [this, pkt = delivered.pkt, enqueued_at = delivered.enqueued_at] {
+                         obs::TraceAsyncSpan(obs::Layer::kRan, obs::names::kRanTransit, pkt.id,
+                                             enqueued_at, sim_.Now(),
+                                             {{"bytes", static_cast<double>(pkt.size_bytes)}});
+                         if (core_sink_) core_sink_(pkt);
+                       });
   });
-  if (telemetry_listener_) telemetry_listener_(telemetry_.back());
-  obs::TraceInstant(obs::Layer::kRan, tb.round == 0 ? obs::names::kTbTx : obs::names::kTbRtx, slot_time,
-                    {{"tbs", static_cast<double>(tb.tbs)},
-                     {"used", static_cast<double>(tb.used)},
-                     {"round", static_cast<double>(tb.round)},
-                     {"crc_ok", crc_ok ? 1.0 : 0.0},
-                     {"grant", tb.grant == GrantType::kRequested ? 1.0 : 0.0}});
 }
 
 net::CapacityTrace RanUplink::ObservedCapacityTrace(sim::Duration window) const {
   net::CapacityTrace trace;
-  if (telemetry_.empty()) return trace;
+  const std::vector<TbRecord>& records = telemetry();
+  if (records.empty()) return trace;
   sim::TimePoint window_start = sim::kEpoch;
   std::uint64_t bytes = 0;
-  for (const auto& tb : telemetry_) {
+  for (const auto& tb : records) {
     while (tb.slot_time >= window_start + window) {
       trace.Append(window_start,
                    static_cast<double>(bytes) * 8.0 / sim::ToSeconds(window));

@@ -1,15 +1,17 @@
-// The 5G uplink machine: UE-side RLC buffer, slot-clocked grant issuance,
-// TB filling with segmentation, HARQ retransmissions, and delivery to the
-// mobile core. This is the system under measurement in §§2–3: every delay
-// artifact the paper explains (2.5 ms delay-spread quantization, ~10 ms
-// BSR scheduling delay, 10 ms HARQ inflation, over-granting, empty-TB
-// retransmissions) is an emergent behaviour of this component.
+// The paper's measured 5G uplink: one UE on the uplink scheduler
+// (multi_ue.hpp) with a UE-side RLC buffer, slot-clocked grants, TB
+// filling with segmentation, HARQ retransmissions and delivery to the
+// mobile core. Every §3 delay artifact comes out of that one scheduler;
+// this class attaches the single measured UE to it, offers the UE's
+// single-UE GrantPolicy (the §5.2 policies, TunableGrantPolicy) the whole
+// slot budget left after cross traffic, moves decoded packets to the
+// core after the gNB→core transfer delay, and turns ground-truth
+// recording on.
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "net/capacity_trace.hpp"
@@ -18,8 +20,8 @@
 #include "ran/config.hpp"
 #include "ran/cross_traffic.hpp"
 #include "ran/grant_policy.hpp"
+#include "ran/multi_ue.hpp"
 #include "ran/types.hpp"
-#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
 namespace athena::ran {
@@ -32,15 +34,15 @@ class RanUplink {
             CrossTraffic cross_traffic, std::unique_ptr<GrantPolicy> policy = nullptr);
 
   /// Starts the slot clock. Must be called before traffic is offered.
-  void Start();
+  void Start() { cell_.Start(); }
 
   /// Cancels the slot clock. After Stop() no further TBs are transmitted
   /// or delivered; buffered packets stay queued. Safe to call repeatedly.
-  void Stop();
+  void Stop() { cell_.Stop(); }
 
   /// The UE's IP stack hands a datagram to the modem (enters the RLC
   /// transmission buffer).
-  void SendFromUe(const net::Packet& p);
+  void SendFromUe(const net::Packet& p) { cell_.SendFromUe(kUe, p); }
   [[nodiscard]] net::PacketHandler AsHandler() {
     return [this](const net::Packet& p) { SendFromUe(p); };
   }
@@ -49,92 +51,37 @@ class RanUplink {
   void set_core_sink(net::PacketHandler sink) { core_sink_ = std::move(sink); }
 
   // --- telemetry (what NG-Scope exposes; Athena's L1 input) ---
-  [[nodiscard]] const std::vector<TbRecord>& telemetry() const { return telemetry_; }
+  [[nodiscard]] const std::vector<TbRecord>& telemetry() const { return ue().telemetry; }
 
   /// Streams each telemetry record as it is produced (for online
   /// consumers such as the §5.3 PHY-informed controller).
   void set_telemetry_listener(std::function<void(const TbRecord&)> listener) {
-    telemetry_listener_ = std::move(listener);
+    cell_.set_telemetry_listener(std::move(listener));
   }
 
   // --- ground truth (tests only; see types.hpp) ---
-  [[nodiscard]] const std::vector<TbTruth>& truth() const { return truth_; }
+  [[nodiscard]] const std::vector<TbTruth>& truth() const { return cell_.truth(); }
 
-  [[nodiscard]] const RanCounters& counters() const { return counters_; }
-  [[nodiscard]] const RanConfig& config() const { return config_; }
+  [[nodiscard]] const RanCounters& counters() const { return cell_.counters(); }
+  [[nodiscard]] const RanConfig& config() const { return cell_.config(); }
   [[nodiscard]] GrantPolicy& policy() { return *policy_; }
 
   /// Current RLC buffer occupancy in bytes (diagnostics).
-  [[nodiscard]] std::uint32_t buffer_bytes() const;
+  [[nodiscard]] std::uint32_t buffer_bytes() const { return ue().TotalBufferBytes(); }
 
   /// Capacity trace computed from granted transport-block sizes, windowed —
   /// exactly how the paper derives the Fig. 7 emulated-baseline rate.
   [[nodiscard]] net::CapacityTrace ObservedCapacityTrace(sim::Duration window) const;
 
  private:
-  struct QueuedPacket {
-    net::Packet pkt;
-    std::uint32_t remaining = 0;
-    sim::TimePoint enqueued_at;
-  };
+  static constexpr std::uint32_t kUe = 0;
 
-  struct Segment {
-    net::PacketId packet_id = 0;
-    std::uint32_t bytes = 0;
-    bool last = false;
-  };
-
-  struct Tb {
-    TbId id = 0;
-    TbId chain_id = 0;
-    GrantType grant = GrantType::kProactive;
-    std::uint32_t tbs = 0;
-    std::uint32_t used = 0;
-    std::uint8_t round = 0;
-    sim::TimePoint first_tx_slot;
-    std::vector<Segment> segments;
-    bool has_bsr = false;
-    std::uint32_t bsr_bytes = 0;
-  };
-
-  struct DeliveryState {
-    net::Packet pkt;
-    std::uint32_t undelivered = 0;
-    sim::TimePoint enqueued_at;  ///< modem arrival (obs: ran.transit span)
-  };
-
-  void OnUplinkSlot();
-  /// Builds and transmits a new-data TB of the granted size.
-  void TransmitNewTb(const GrantPolicy::Decision& grant, sim::TimePoint slot_time);
-  /// Transmits (or retransmits) `tb` and samples its decode outcome.
-  void Transmit(Tb tb, sim::TimePoint slot_time);
-  void OnTbDecoded(const Tb& tb, sim::TimePoint slot_time);
-  void OnChainDropped(const Tb& tb, sim::TimePoint slot_time);
-  [[nodiscard]] std::uint32_t EligibleBufferBytes(sim::TimePoint slot_time) const;
-  [[nodiscard]] std::uint32_t TotalBufferBytes() const;
-  void RecordTelemetry(const Tb& tb, sim::TimePoint slot_time, bool crc_ok);
+  [[nodiscard]] const UeRadioState& ue() const { return *cell_.FindUe(kUe); }
 
   sim::Simulator& sim_;
-  RanConfig config_;
-  ChannelModel channel_;
-  CrossTraffic cross_traffic_;
-  std::unique_ptr<GrantPolicy> policy_;
+  GrantPolicy* policy_ = nullptr;  ///< owned by cell_'s policy adapter
+  MultiUeUplink cell_;
   net::PacketHandler core_sink_;
-
-  std::deque<QueuedPacket> queue_;
-  std::unordered_map<net::PacketId, DeliveryState> in_flight_;
-  /// Retransmissions waiting for their slot, keyed by absolute slot time (µs).
-  std::unordered_map<std::int64_t, std::vector<Tb>> pending_rtx_;
-
-  std::vector<TbRecord> telemetry_;
-  std::function<void(const TbRecord&)> telemetry_listener_;
-  std::vector<TbTruth> truth_;
-  std::unordered_map<TbId, std::size_t> truth_index_;  // chain_id → truth_ slot
-  RanCounters counters_;
-
-  TbId next_tb_id_ = 1;
-  bool started_ = false;
-  sim::EventHandle slot_timer_;
 };
 
 }  // namespace athena::ran

@@ -2,7 +2,8 @@
 //
 // A Cell is an Entity that owns a radio-access model for the UEs
 // currently attached to it. The stock implementation (`MakeNrCell`)
-// wraps `ran::MultiUeUplink` — the paper's 5G cell generalized to a
+// wraps `ran::MultiUeUplink` — the one uplink scheduler, which a
+// session's `ran::RanUplink` runs with a single UE — here with a
 // contending population. EXTENDING.md describes how to add other cell
 // types (Wi-Fi AP, satellite beam, …): implement this interface, keep
 // the mailbox choreography, and the engine, digest, handover and fleet
@@ -67,7 +68,8 @@ class Cell : public Entity {
 };
 
 /// The stock 5G cell: `ran::MultiUeUplink` with the shared BSR grant
-/// policy, slot clock on the epoch-aligned UL grid.
+/// policy, no cross traffic and no ground-truth records, slot clock on
+/// the epoch-aligned UL grid.
 [[nodiscard]] std::unique_ptr<Cell> MakeNrCell(Cell::Context ctx, ran::RanConfig config);
 
 }  // namespace athena::world

@@ -13,7 +13,8 @@ class NrCell final : public Cell {
         uplink_(*ctx_.sim, config, /*cell_tag=*/ctx_.id,
                 /*policy=*/nullptr) {
     uplink_.set_deliver_sink(
-        [this](std::uint32_t ue, const net::Packet& pkt, sim::TimePoint decoded_at) {
+        [this](std::uint32_t ue, const ran::UeDeliveryState& delivered,
+               sim::TimePoint decoded_at) {
           // gNB → core: at least one lookahead (the core-delivery hop is
           // a mailbox edge, so it must respect the conservative bound).
           const sim::Duration hop =
@@ -25,7 +26,7 @@ class NrCell final : public Cell {
           msg.seq = next_seq_++;
           msg.arrival = decoded_at + hop;
           msg.ue = ue;
-          msg.pkt = pkt;
+          msg.pkt = delivered.pkt;
           ctx_.post(std::move(msg));
         });
   }

@@ -205,23 +205,52 @@ TEST(BsrGrantPolicyTest, MaturityAlignsToSlotGrid) {
 
 // ---------- RanUplink (integration of UE + scheduler + HARQ) ----------
 
-class RanUplinkTest : public ::testing::Test {
+/// Who shares the uplink scheduler with the measured UE (UE 0).
+enum class Cell {
+  kAlone,       ///< RanUplink: the paper's measured single-UE cell
+  kContending,  ///< MultiUeUplink with three idle UEs beside it
+};
+
+class RanUplinkTest : public ::testing::TestWithParam<Cell> {
  protected:
   struct Delivery {
     net::Packet pkt;
     sim::TimePoint at;
   };
 
+  static constexpr std::uint32_t kIdleUes = 3;
+
   void Build(RanConfig config, ChannelModel::Config channel = {.base_bler = 0.0},
-             double cross_bps = 0.0) {
+             double cross_bps = 0.0, Cell cell = Cell::kAlone) {
     config_ = config;
-    ran_ = std::make_unique<RanUplink>(
-        sim_, config, ChannelModel{channel, sim::Rng{5}},
-        CrossTraffic{{net::CapacityTrace{cross_bps}, 0.0}, sim::Rng{6}});
-    ran_->set_core_sink([this](const net::Packet& p) {
-      deliveries_.push_back({p, sim_.Now()});
-    });
-    ran_->Start();
+    CrossTraffic cross{{net::CapacityTrace{cross_bps}, 0.0}, sim::Rng{6}};
+    if (cell == Cell::kAlone) {
+      ran_ = std::make_unique<RanUplink>(sim_, config, ChannelModel{channel, sim::Rng{5}},
+                                         std::move(cross));
+      ran_->set_core_sink([this](const net::Packet& p) {
+        deliveries_.push_back({p, sim_.Now()});
+      });
+      ran_->Start();
+      return;
+    }
+    // The same scheduler core RanUplink runs on, shared with idle UEs on
+    // the same kind of radio: they take proactive grants, pad TBs and
+    // retransmit failures, all from the one slot budget.
+    cell_ = std::make_unique<MultiUeUplink>(sim_, config, /*cell_tag=*/0, nullptr,
+                                            std::move(cross), /*record_truth=*/true);
+    for (std::uint32_t ue = 0; ue <= kIdleUes; ++ue) {
+      UeRadioState state;
+      state.channel = ChannelModel{channel, sim::Rng{5 + 10 * ue}};
+      cell_->AttachUe(ue, std::move(state));
+    }
+    cell_->set_deliver_sink(
+        [this](std::uint32_t ue, const UeDeliveryState& delivered, sim::TimePoint) {
+          ASSERT_EQ(ue, 0u) << "an idle UE delivered a packet";
+          sim_.ScheduleAfter(config_.gnb_to_core_delay, [this, pkt = delivered.pkt] {
+            deliveries_.push_back({pkt, sim_.Now()});
+          });
+        });
+    cell_->Start();
   }
 
   void SendAt(sim::Duration when, net::PacketId id, std::uint32_t bytes) {
@@ -231,7 +260,11 @@ class RanUplinkTest : public ::testing::Test {
       p.kind = net::PacketKind::kRtpVideo;
       p.size_bytes = bytes;
       p.created_at = sim_.Now();
-      ran_->SendFromUe(p);
+      if (ran_) {
+        ran_->SendFromUe(p);
+      } else {
+        cell_->SendFromUe(0, p);
+      }
     });
   }
 
@@ -242,9 +275,17 @@ class RanUplinkTest : public ::testing::Test {
     return nullptr;
   }
 
+  /// The measured UE's control-channel telemetry.
+  const std::vector<TbRecord>& Telemetry() const {
+    return ran_ ? ran_->telemetry() : cell_->FindUe(0)->telemetry;
+  }
+  const std::vector<TbTruth>& Truth() const { return ran_ ? ran_->truth() : cell_->truth(); }
+  const RanCounters& Counters() const { return ran_ ? ran_->counters() : cell_->counters(); }
+
   sim::Simulator sim_;
   RanConfig config_;
   std::unique_ptr<RanUplink> ran_;
+  std::unique_ptr<MultiUeUplink> cell_;
   std::vector<Delivery> deliveries_;
 };
 
@@ -267,8 +308,8 @@ TEST_F(RanUplinkTest, UeProcessingDelayPushesToNextSlot) {
   EXPECT_EQ(d->at, kEpoch + 5000us + config_.gnb_to_core_delay);
 }
 
-TEST_F(RanUplinkTest, DeliveriesQuantizedToSlotGrid) {
-  Build(RanConfig::PaperCell());
+TEST_P(RanUplinkTest, DeliveriesQuantizedToSlotGrid) {
+  Build(RanConfig::PaperCell(), {.base_bler = 0.0}, 0.0, GetParam());
   for (int i = 0; i < 40; ++i) {
     SendAt(sim::Duration{i * 7'300}, static_cast<net::PacketId>(i + 1), 900);
   }
@@ -321,15 +362,15 @@ TEST_F(RanUplinkTest, WithoutProactiveEverythingWaitsForBsr) {
   EXPECT_EQ(d->at, kEpoch + 12'500us + config_.gnb_to_core_delay);
 }
 
-TEST_F(RanUplinkTest, HarqRetransmissionAddsExactlyOneRtxDelay) {
+TEST_P(RanUplinkTest, HarqRetransmissionAddsExactlyOneRtxDelay) {
   // First transmission always fails, first retransmission always succeeds.
-  Build(RanConfig::PaperCell(), {.base_bler = 1.0, .rtx_bler_factor = 0.0});
+  Build(RanConfig::PaperCell(), {.base_bler = 1.0, .rtx_bler_factor = 0.0}, 0.0, GetParam());
   SendAt(1ms, 1, 1200);
   sim_.RunUntil(kEpoch + 200ms);
   const auto* d = Find(1);
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->at, kEpoch + 2500us + config_.rtx_delay + config_.gnb_to_core_delay);
-  EXPECT_GE(ran_->counters().tb_rtx, 1u);
+  EXPECT_GE(Counters().tb_rtx, 1u);
 }
 
 TEST_F(RanUplinkTest, RepeatedFailuresInflateByRtxMultiples) {
@@ -386,21 +427,21 @@ TEST_F(RanUplinkTest, FifoOrderPreservedAtCore) {
   }
 }
 
-TEST_F(RanUplinkTest, TelemetryByteConservation) {
-  Build(RanConfig::PaperCell());
+TEST_P(RanUplinkTest, TelemetryByteConservation) {
+  Build(RanConfig::PaperCell(), {.base_bler = 0.0}, 0.0, GetParam());
   for (int i = 0; i < 20; ++i) {
     SendAt(sim::Duration{i * 5'000}, static_cast<net::PacketId>(i + 1), 1100);
   }
   sim_.RunUntil(kEpoch + 1s);
   // Sum of telemetry used bytes equals total offered bytes.
   std::uint64_t used = 0;
-  for (const auto& tb : ran_->telemetry()) {
+  for (const auto& tb : Telemetry()) {
     if (tb.harq_round == 0) used += tb.used_bytes;
   }
   EXPECT_EQ(used, 20u * 1100u);
   // Ground truth segments agree per chain.
   std::uint64_t truth_bytes = 0;
-  for (const auto& t : ran_->truth()) {
+  for (const auto& t : Truth()) {
     for (const auto& s : t.segments) truth_bytes += s.bytes;
   }
   EXPECT_EQ(truth_bytes, used);
@@ -492,6 +533,12 @@ TEST_F(RanUplinkTest, GrantUtilizationLowWhenIdle) {
   EXPECT_LT(ran_->counters().GrantUtilization(), 0.01);
 }
 
+INSTANTIATE_TEST_SUITE_P(Cells, RanUplinkTest,
+                         ::testing::Values(Cell::kAlone, Cell::kContending),
+                         [](const ::testing::TestParamInfo<Cell>& info) {
+                           return info.param == Cell::kAlone ? "Alone" : "Contending";
+                         });
+
 // ---------- MultiUeUplink ----------
 
 std::uint32_t ScanTotalBytes(const UeRadioState& state) {
@@ -522,7 +569,7 @@ TEST(MultiUeUplinkTest, BufferCountersMatchAQueueScanEverySlot) {
   MultiUeUplink uplink{sim, config, /*cell_tag=*/1};
   std::uint64_t delivered = 0;
   uplink.set_deliver_sink(
-      [&](std::uint32_t, const net::Packet&, sim::TimePoint) { ++delivered; });
+      [&](std::uint32_t, const UeDeliveryState&, sim::TimePoint) { ++delivered; });
   constexpr std::uint32_t kUes = 4;
   for (std::uint32_t ue = 0; ue < kUes; ++ue) uplink.AttachUe(ue, FreshUe(100 + ue, 0.2));
   uplink.SetOutage(kEpoch + 400ms, kEpoch + 440ms);

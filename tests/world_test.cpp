@@ -219,6 +219,10 @@ TEST(WorldChaosTest, OutageContractHoldsWhenTheOutagePopulationHandsOver) {
   const auto& hit = e.faulted.result.report.scenarios.at("world-chaos/cell0").metrics;
   EXPECT_GT(hit.at("uplink_owd_ms").mean, clean.at("uplink_owd_ms").mean);
   EXPECT_GE(hit.at("frame_late_fraction").mean, clean.at("frame_late_fraction").mean);
+  // The evidence carries the judged means, so the table and JSON show them.
+  ASSERT_TRUE(e.outage_group_owd.has_value());
+  EXPECT_EQ(e.outage_group_owd->clean_ms, clean.at("uplink_owd_ms").mean);
+  EXPECT_EQ(e.outage_group_owd->faulted_ms, hit.at("uplink_owd_ms").mean);
 }
 
 }  // namespace
