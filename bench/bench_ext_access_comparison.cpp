@@ -52,8 +52,8 @@ Outcome Run(app::SessionConfig::Access access, bool fdd = false) {
   session.Run(2min);
 
   Outcome out;
-  const auto pairs = core::ClockSync::JoinCaptures(session.sender_capture().records(),
-                                                   session.core_capture().records());
+  const auto pairs = core::ClockSync::JoinCaptures(session.sender_capture().log().ToVector(),
+                                                   session.core_capture().log().ToVector());
   // Quantization fingerprint: arrival-time *phase* concentration. On a
   // slotted uplink, arrivals land on the slot grid, so the arrival time
   // modulo 2.5 ms piles into one phase bin; contention-based access

@@ -43,11 +43,11 @@ int main() {
   // --- panel 1: receive bitrate per SVC layer (from the receiver pcap) ---
   std::map<net::SvcLayer, stats::TimeSeries> by_layer;
   stats::TimeSeries audio_bytes;
-  for (const auto& rec : session.receiver_capture().records()) {
+  for (const auto& rec : session.receiver_capture().log()) {
     if (rec.kind == net::PacketKind::kRtpAudio) {
       audio_bytes.Add(rec.true_ts, rec.size_bytes);
-    } else if (rec.kind == net::PacketKind::kRtpVideo && rec.rtp) {
-      by_layer[rec.rtp->layer].Add(rec.true_ts, rec.size_bytes);
+    } else if (rec.kind == net::PacketKind::kRtpVideo && rec.rtp() != nullptr) {
+      by_layer[rec.rtp()->layer].Add(rec.true_ts, rec.size_bytes);
     }
   }
   auto kbps = [](const stats::TimeSeries& ts, sim::TimePoint at) {

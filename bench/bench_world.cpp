@@ -25,10 +25,19 @@
 // Digest identity across all three shard counts (and the byte-identity
 // of the FleetReport JSON) is asserted, not just recorded — a scaling
 // win that changes the answer is a bug, not a result.
+//
+// The `memory` block records the process's peak RSS after the runs above,
+// then again after one 1-shard sequential run four times as long (8 s
+// at full sizing): how world memory grows with virtual time. The file is
+// stamped with the build type and the git revision (pass --git-rev=REV;
+// bench/run_bench_world.sh does).
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -72,6 +81,13 @@ RunRecord RunAt(const world::WorldConfig& base, std::size_t shards, bool threade
   return record;
 }
 
+/// Peak resident set of this process so far, in MB (ru_maxrss is KiB).
+double PeakRssMb() {
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
 std::string HexDigest(std::uint64_t digest) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -84,10 +100,13 @@ std::string HexDigest(std::uint64_t digest) {
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_world.json";
   bool smoke = false;
+  std::string git_rev = "unknown";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       smoke = true;
+    } else if (arg.rfind("--git-rev=", 0) == 0) {
+      git_rev = arg.substr(std::strlen("--git-rev="));
     } else {
       out_path = arg;
     }
@@ -156,6 +175,18 @@ int main(int argc, char** argv) {
               << HexDigest(supervised.result.digest) << '\n';
   }
 
+  // Memory growth in virtual time: peak RSS so far, then after a run four
+  // times as long on one sequential shard.
+  const double peak_rss_mb_short = PeakRssMb();
+  world::WorldConfig long_config = base;
+  long_config.duration = 4 * base.duration;
+  const RunRecord long_run = RunAt(long_config, 1, /*threaded=*/false);
+  const double peak_rss_mb_long = PeakRssMb();
+  std::cout << "  peak RSS " << peak_rss_mb_short << " MB after the "
+            << base.duration.count() / 1000 << " ms runs, " << peak_rss_mb_long
+            << " MB after a " << long_config.duration.count() / 1000
+            << " ms 1-shard run (wall " << long_run.result.wall_seconds << " s)\n";
+
   const RunRecord& serial = runs.front();
   bool conservation_ok = true;
   bool digest_identical = true;
@@ -207,6 +238,8 @@ int main(int argc, char** argv) {
   os << "    \"seed\": " << base.seed << ",\n";
   os << "    \"smoke\": " << (smoke ? "true" : "false") << "\n";
   os << "  },\n";
+  os << "  \"build_type\": \"" << ATHENA_BUILD_TYPE << "\",\n";
+  os << "  \"git_rev\": \"" << git_rev << "\",\n";
   os << "  \"hardware_concurrency\": " << hw << ",\n";
   os << "  \"runs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -244,6 +277,16 @@ int main(int argc, char** argv) {
      << ",\n";
   os << "    \"recovered_digest_matches_oracle\": "
      << (recovered_identical ? "true" : "false") << "\n";
+  os << "  },\n";
+  os << "  \"memory\": {\n";
+  os << "    \"peak_rss_mb\": " << peak_rss_mb_short << ",\n";
+  os << "    \"long_run_virtual_ms\": " << long_config.duration.count() / 1000 << ",\n";
+  os << "    \"long_run_wall_seconds\": " << long_run.result.wall_seconds << ",\n";
+  os << "    \"long_run_events\": " << long_run.result.events_executed << ",\n";
+  os << "    \"peak_rss_mb_after_long_run\": " << peak_rss_mb_long << ",\n";
+  os << "    \"note\": \"process peak RSS (ru_maxrss): after every run above, threaded "
+        "ones included, then after one 1-shard sequential run of long_run_virtual_ms; a "
+        "process that runs one world alone peaks lower\"\n";
   os << "  },\n";
   os << "  \"speedup\": {\n";
   for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {

@@ -8,6 +8,9 @@
 #     carries a "resilience" block from a supervised kill/restore run:
 #     world-checkpoint size, serialize cost, restore replay latency,
 #     and recovered-digest identity against the uninterrupted oracle.
+#     A "memory" block records peak RSS after those runs and after one
+#     more 1-shard run four times as long; the file is stamped with the
+#     build type and `git describe --dirty`.
 #
 # Usage: bench/run_bench_world.sh [build-dir] [--smoke]
 #   (default build dir: ./build; --smoke uses the reduced CI sizing)
@@ -28,5 +31,7 @@ if [ ! -d "$build_dir" ]; then
 fi
 cmake --build "$build_dir" --target bench_world -j "$(nproc)"
 
+git_rev="$(git -C "$repo_root" describe --always --dirty 2>/dev/null || echo unknown)"
+
 echo "== bench_world =="
-"$build_dir/bench/bench_world" "$repo_root/BENCH_world.json" $smoke
+"$build_dir/bench/bench_world" "$repo_root/BENCH_world.json" --git-rev="$git_rev" $smoke

@@ -649,7 +649,7 @@ RunResult RunOne(const Options& opt, std::uint64_t seed, std::size_t run_index,
       });
     }
     write_csv("capture_sender.csv", [&](std::ostream& os) {
-      core::CsvExport::Capture(os, session.sender_capture().records());
+      core::CsvExport::Capture(os, session.sender_capture().log());
     });
   }
 

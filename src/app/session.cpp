@@ -205,11 +205,10 @@ void Session::Run(sim::Duration span) {
 
 core::WifiCorrelatorInput Session::BuildWifiCorrelatorInput() const {
   core::WifiCorrelatorInput input;
-  input.sender = cap_sender_->records();
-  input.egress = cap_core_->records();
+  input.sender = cap_sender_->log().ToVector();
+  input.egress = cap_core_->log().ToVector();
   if (wifi_uplink_) input.telemetry = wifi_uplink_->telemetry();
-  const auto pairs =
-      core::ClockSync::JoinCaptures(cap_sender_->records(), cap_core_->records());
+  const auto pairs = core::ClockSync::JoinCaptures(input.sender, input.egress);
   if (const auto off = core::ClockSync::OffsetFromMinOwd(pairs, config_.wifi.min_backoff)) {
     input.sender_offset = *off;
   }
@@ -218,16 +217,15 @@ core::WifiCorrelatorInput Session::BuildWifiCorrelatorInput() const {
 
 core::CorrelatorInput Session::BuildCorrelatorInput() const {
   core::CorrelatorInput input;
-  input.sender = cap_sender_->records();
-  input.core = cap_core_->records();
-  input.receiver = cap_receiver_->records();
+  input.sender = cap_sender_->log().ToVector();
+  input.core = cap_core_->log().ToVector();
+  input.receiver = cap_receiver_->log().ToVector();
   if (ran_uplink_) input.telemetry = ran_uplink_->telemetry();
   input.cell = config_.cell;
 
   // Clock-offset estimation, as the measurement pipeline would do it:
   // min-filter the observed OWD against the known wired floor of each path.
-  const auto sender_pairs =
-      core::ClockSync::JoinCaptures(cap_sender_->records(), cap_core_->records());
+  const auto sender_pairs = core::ClockSync::JoinCaptures(input.sender, input.core);
   sim::Duration uplink_floor = config_.emulated_latency;
   switch (config_.access) {
     case SessionConfig::Access::k5G:
@@ -248,8 +246,7 @@ core::CorrelatorInput Session::BuildCorrelatorInput() const {
     input.sender_offset = *off;
   }
 
-  const auto recv_pairs =
-      core::ClockSync::JoinCaptures(cap_core_->records(), cap_receiver_->records());
+  const auto recv_pairs = core::ClockSync::JoinCaptures(input.core, input.receiver);
   const sim::Duration wan_floor =
       config_.wan_delay + config_.wan_delay + sim::FromMs(config_.sfu.proc_median_ms * 0.5);
   if (const auto off = core::ClockSync::OffsetFromMinOwd(recv_pairs, wan_floor)) {

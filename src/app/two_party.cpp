@@ -124,9 +124,9 @@ void TwoPartySession::Run(sim::Duration span) {
 
 core::CorrelatorInput TwoPartySession::BuildUplinkCorrelatorInput() const {
   core::CorrelatorInput input;
-  input.sender = cap_a_out_->records();
-  input.core = cap_core_up_->records();
-  input.receiver = cap_b_in_->records();
+  input.sender = cap_a_out_->log().ToVector();
+  input.core = cap_core_up_->log().ToVector();
+  input.receiver = cap_b_in_->log().ToVector();
   input.telemetry = uplink_->telemetry();
   input.cell = config_.cell;
   return input;  // all clocks in this session are true (offset 0)
@@ -134,8 +134,8 @@ core::CorrelatorInput TwoPartySession::BuildUplinkCorrelatorInput() const {
 
 core::CorrelatorInput TwoPartySession::BuildDownlinkCorrelatorInput() const {
   core::CorrelatorInput input;
-  input.sender = cap_core_down_->records();
-  input.core = cap_a_in_->records();
+  input.sender = cap_core_down_->log().ToVector();
+  input.core = cap_a_in_->log().ToVector();
   input.telemetry = downlink_->telemetry();
   // Root-cause thresholds must scale with the DL slot grid; the downlink
   // has no grant cycle, so the BSR delay is moot (kept for completeness).

@@ -322,9 +322,9 @@ CrossLayerDataset Correlator::Correlate(const CorrelatorInput& input) {
     r.packet_id = rec.packet_id;
     r.kind = rec.kind;
     r.size_bytes = rec.size_bytes;
-    if (rec.rtp) {
-      r.frame_id = rec.rtp->frame_id;
-      r.layer = rec.rtp->layer;
+    if (const net::RtpMeta* rtp = rec.rtp()) {
+      r.frame_id = rtp->frame_id;
+      r.layer = rtp->layer;
     }
     r.sent_at = pkt.sent_common;
 
@@ -399,18 +399,19 @@ CrossLayerDataset Correlator::Correlate(const CorrelatorInput& input) {
   std::map<std::uint64_t, FrameScratch> frames;
   for (const auto& pkt : packets) {
     const net::CaptureRecord& rec = *pkt.record;
-    if (!rec.rtp) continue;
-    const auto frame_id = rec.rtp->frame_id;
+    const net::RtpMeta* rtp = rec.rtp();
+    if (rtp == nullptr) continue;
+    const auto frame_id = rtp->frame_id;
     auto [it, inserted] = frames.try_emplace(frame_id);
     FrameScratch& s = it->second;
     FrameRecord& f = s.record;
     if (inserted) {
       f.frame_id = frame_id;
-      f.layer = rec.rtp->layer;
+      f.layer = rtp->layer;
       f.is_audio = rec.kind == net::PacketKind::kRtpAudio;
       f.first_sent = pkt.sent_common;
       f.last_sent = pkt.sent_common;
-      s.expected = rec.rtp->packets_in_frame;
+      s.expected = rtp->packets_in_frame;
     }
     ++f.packets;
     f.first_sent = std::min(f.first_sent, pkt.sent_common);

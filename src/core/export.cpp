@@ -44,13 +44,13 @@ void CsvExport::Telemetry(std::ostream& os, const std::vector<ran::TbRecord>& te
   }
 }
 
-void CsvExport::Capture(std::ostream& os, const std::vector<net::CaptureRecord>& records) {
+void CsvExport::Capture(std::ostream& os, const net::CaptureLog& records) {
   os << "packet_id,local_us,kind,size_bytes,flow,frame_id,transport_seq\n";
   for (const auto& r : records) {
     os << r.packet_id << ',' << r.local_ts.us() << ',' << net::ToString(r.kind) << ','
        << r.size_bytes << ',' << r.flow << ',';
-    if (r.rtp) {
-      os << r.rtp->frame_id << ',' << r.rtp->transport_seq;
+    if (const net::RtpMeta* rtp = r.rtp()) {
+      os << rtp->frame_id << ',' << rtp->transport_seq;
     } else {
       os << ",";
     }

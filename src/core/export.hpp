@@ -32,7 +32,7 @@ class CsvExport {
 
   /// capture.csv — one row per captured packet:
   /// packet_id,local_us,kind,size_bytes,flow,frame_id,transport_seq
-  static void Capture(std::ostream& os, const std::vector<net::CaptureRecord>& records);
+  static void Capture(std::ostream& os, const net::CaptureLog& records);
 };
 
 }  // namespace athena::core

@@ -40,9 +40,9 @@ WifiDataset WifiCorrelator::Correlate(const WifiCorrelatorInput& input) {
     WifiPacketRecord p;
     p.packet_id = rec.packet_id;
     p.kind = rec.kind;
-    if (rec.rtp) {
-      p.frame_id = rec.rtp->frame_id;
-      p.layer = rec.rtp->layer;
+    if (const net::RtpMeta* rtp = rec.rtp()) {
+      p.frame_id = rtp->frame_id;
+      p.layer = rtp->layer;
     }
     p.sent_at = rec.local_ts + input.sender_offset;
 

@@ -297,7 +297,7 @@ void ReplayIntoBank(const core::CorrelatorInput& input, obs::live::DetectorBank&
     events.push_back({input.telemetry[i].slot_time, true, i});
   }
   for (std::size_t i = 0; i < input.core.size(); ++i) {
-    if (input.core[i].icmp.has_value()) continue;
+    if (input.core[i].icmp() != nullptr) continue;
     events.push_back({input.core[i].local_ts, false, i});
   }
   // TB before delivery on ties: a TB observed in the slot that delivered
@@ -840,16 +840,16 @@ void CheckCellQuarantine(const world::WorldConfig& base, ChaosOutcome& out, Worl
     Fail(out, "quarantined cell's population was neither evacuated nor stranded");
   }
 
-  // Degradation contract: a dark cell must cost delivery, never mint
-  // packets, and its population group must be visible to operators.
+  // Degradation contract: a dark cell must cost delivery, leave more
+  // packets undelivered, and its population group must be visible to
+  // operators.
   if (r.delivered >= ev.clean.delivered) {
     Fail(out, "cell quarantine did not reduce population delivery (" +
                   std::to_string(r.delivered) + " >= " + std::to_string(ev.clean.delivered) +
                   ")");
   }
-  if (r.lost < ev.clean.lost) {
-    Fail(out, "quarantined world lost fewer packets than the clean one (" +
-                  std::to_string(r.lost) + " < " + std::to_string(ev.clean.lost) + ")");
+  if (std::string why = QuarantineLossViolation(ev.clean, r); !why.empty()) {
+    Fail(out, why);
   }
   if (!r.quarantined_cells.empty()) {
     const std::string group = std::string(kWorldGroup) + "/cell" +
@@ -892,6 +892,15 @@ void RunWorldContract(const ChaosScenario& scenario, std::uint64_t seed,
 }
 
 }  // namespace
+
+std::string QuarantineLossViolation(const world::WorldResult& clean,
+                                    const world::WorldResult& quarantined) {
+  const std::uint64_t undelivered = quarantined.lost + quarantined.in_flight;
+  const std::uint64_t clean_undelivered = clean.lost + clean.in_flight;
+  if (undelivered > clean_undelivered) return {};
+  return "cell quarantine did not raise undelivered packets (lost + in flight " +
+         std::to_string(undelivered) + " <= " + std::to_string(clean_undelivered) + ")";
+}
 
 ChaosOutcome RunChaosScenario(const ChaosScenario& scenario, std::uint64_t seed,
                               const ChaosRunOptions& options) {
@@ -998,6 +1007,7 @@ struct EvidenceJson {
        << e.clean.digest << std::dec << "\", \"conservation_ok\": " << Bool(r.conservation_ok)
        << ", \"delivered\": " << r.delivered << ", \"clean_delivered\": " << e.clean.delivered
        << ", \"lost\": " << r.lost << ", \"clean_lost\": " << e.clean.lost
+       << ", \"in_flight\": " << r.in_flight << ", \"clean_in_flight\": " << e.clean.in_flight
        << ", \"crashes\": " << e.faulted.crashes << ", \"restarts\": " << e.faulted.restarts
        << ", \"checkpoints\": " << e.faulted.checkpoints_taken
        << ", \"quarantined_cells\": " << r.quarantined_cells.size();
@@ -1040,6 +1050,7 @@ struct EvidenceRow {
     const world::WorldResult& r = e.faulted.result;
     os << " digest=" << std::hex << o.digest << std::dec << " delivered=" << e.clean.delivered
        << "->" << r.delivered << " lost=" << e.clean.lost << "->" << r.lost
+       << " in_flight=" << e.clean.in_flight << "->" << r.in_flight
        << " conservation=" << (r.conservation_ok ? "ok" : "VIOLATED")
        << " crashes=" << e.faulted.crashes << " restarts=" << e.faulted.restarts
        << " quarantined=" << r.quarantined_cells.size();

@@ -254,6 +254,13 @@ struct ChaosOutcome {
                                             std::uint64_t seed,
                                             const ChaosRunOptions& options = {});
 
+/// The cell-quarantine contract's loss rule: a quarantined world leaves
+/// strictly more packets undelivered (lost, plus in flight at the end of
+/// the run) than its clean twin, because the stranded population keeps
+/// its packets in flight. Returns the violation, empty when the rule holds.
+[[nodiscard]] std::string QuarantineLossViolation(const world::WorldResult& clean,
+                                                  const world::WorldResult& quarantined);
+
 struct ChaosMatrixResult {
   std::uint64_t base_seed = 0;
   std::size_t seeds = 0;

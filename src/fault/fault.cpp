@@ -212,7 +212,7 @@ void FaultInjector::Apply(Stream stream, std::vector<net::CaptureRecord>& record
             break;
           case 1:
             r.kind = net::PacketKind::kGeneric;
-            r.rtp.reset();
+            r.clear_header();
             break;
           default:
             // A mangled id breaks the L3 joins for this record only.
@@ -320,7 +320,7 @@ void InputDigest::Mix(const std::vector<net::CaptureRecord>& records) {
     Mix(static_cast<std::uint64_t>(r.kind));
     Mix(r.size_bytes);
     Mix(r.flow);
-    Mix(r.rtp.has_value() ? r.rtp->frame_id + 1 : 0u);
+    Mix(r.rtp() != nullptr ? r.rtp()->frame_id + 1 : 0u);
   }
 }
 

@@ -2,21 +2,24 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/check.hpp"
 
 namespace athena::net {
 
 void CapturePoint::OnPacket(const Packet& p) {
+  ATHENA_CHECK(!(p.rtp && p.icmp),
+               "a captured packet carries an RTP or an ICMP header, not both");
   const sim::TimePoint now = sim_.Now();
-  records_.push_back(CaptureRecord{
-      .packet_id = p.id,
-      .local_ts = clock_.ToLocal(now),
-      .true_ts = now,
-      .kind = p.kind,
-      .size_bytes = p.size_bytes,
-      .flow = p.flow,
-      .rtp = p.rtp,
-      .icmp = p.icmp,
-  });
+  CaptureRecord r;
+  r.packet_id = p.id;
+  r.local_ts = clock_.ToLocal(now);
+  r.true_ts = now;
+  r.size_bytes = p.size_bytes;
+  r.flow = p.flow;
+  r.kind = p.kind;
+  if (p.rtp) r.set_rtp(*p.rtp);
+  if (p.icmp) r.set_icmp(*p.icmp);
+  log_.push_back(r);
   if (obs::trace_enabled()) {
     // One instant per tap, named after the capture point (Fig. 2 ①–④),
     // so a packet's journey reads as a row of dots across the net track.

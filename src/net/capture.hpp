@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "net/chunked_log.hpp"
 #include "net/clock.hpp"
 #include "net/packet.hpp"
 #include "obs/trace_names.hpp"
@@ -16,16 +17,51 @@
 
 namespace athena::net {
 
+/// One packet as a capture point logged it. The RTP and ICMP headers share
+/// one tagged slot because no packet carries both, which keeps the record
+/// at 72 B (logs hold one record per packet per capture point).
 struct CaptureRecord {
   PacketId packet_id = 0;
   sim::TimePoint local_ts;   ///< timestamp by the capturing host's clock
   sim::TimePoint true_ts;    ///< ground truth (tests only; Athena must not use it)
-  PacketKind kind = PacketKind::kGeneric;
   std::uint32_t size_bytes = 0;
   FlowId flow = 0;
-  std::optional<RtpMeta> rtp;
-  std::optional<IcmpMeta> icmp;
+  PacketKind kind = PacketKind::kGeneric;
+
+  /// The packet's RTP header, or null when it carried none.
+  [[nodiscard]] const RtpMeta* rtp() const {
+    return header_ == Header::kRtp ? &payload_.rtp : nullptr;
+  }
+  /// The packet's ICMP echo header, or null when it carried none.
+  [[nodiscard]] const IcmpMeta* icmp() const {
+    return header_ == Header::kIcmp ? &payload_.icmp : nullptr;
+  }
+  /// Each setter replaces whichever header the record held.
+  void set_rtp(const RtpMeta& meta) {
+    payload_.rtp = meta;
+    header_ = Header::kRtp;
+  }
+  void set_icmp(const IcmpMeta& meta) {
+    payload_.icmp = meta;
+    header_ = Header::kIcmp;
+  }
+  void clear_header() { header_ = Header::kNone; }
+
+ private:
+  enum class Header : std::uint8_t { kNone, kRtp, kIcmp };
+  union Payload {
+    Payload() : rtp{} {}
+    RtpMeta rtp;
+    IcmpMeta icmp;
+  };
+  Header header_ = Header::kNone;
+  Payload payload_;
 };
+
+static_assert(sizeof(CaptureRecord) <= 80, "capture records stay compact");
+
+/// A capture point's log: 2.3 KiB blocks of 32 records.
+using CaptureLog = ChunkedLog<CaptureRecord>;
 
 class CapturePoint {
  public:
@@ -45,10 +81,10 @@ class CapturePoint {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const HostClock& clock() const { return clock_; }
-  [[nodiscard]] const std::vector<CaptureRecord>& records() const { return records_; }
-  [[nodiscard]] std::size_t count() const { return records_.size(); }
+  [[nodiscard]] const CaptureLog& log() const { return log_; }
+  [[nodiscard]] std::size_t count() const { return log_.size(); }
 
-  void Clear() { records_.clear(); }
+  void Clear() { log_.Clear(); }
 
  private:
   sim::Simulator& sim_;
@@ -56,7 +92,7 @@ class CapturePoint {
   obs::TraceName trace_name_;  ///< `name_` interned once, not per packet
   HostClock clock_;
   PacketHandler sink_;
-  std::vector<CaptureRecord> records_;
+  CaptureLog log_;
 };
 
 }  // namespace athena::net

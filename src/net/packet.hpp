@@ -49,16 +49,19 @@ enum class SvcLayer : std::uint8_t {
 /// RTP header + the header-extension fields Athena reads (carried as
 /// structured data instead of serialized bytes).
 struct RtpMeta {
-  std::uint32_t ssrc = 0;
-  std::uint16_t seq = 0;           ///< per-SSRC RTP sequence number
-  std::uint32_t media_ts = 0;      ///< RTP media timestamp (clock-rate ticks)
-  bool marker = false;             ///< last packet of a frame
-  SvcLayer layer = SvcLayer::kNone;
+  // Widest fields first: 30 B of fields in 32 B.
   std::uint64_t frame_id = 0;      ///< frame / audio-sample identity (QR substitute)
-  std::uint16_t transport_seq = 0; ///< transport-wide sequence number (TWCC)
+  std::uint32_t ssrc = 0;
+  std::uint32_t media_ts = 0;      ///< RTP media timestamp (clock-rate ticks)
   std::uint32_t packets_in_frame = 0;
   std::uint32_t packet_index_in_frame = 0;
+  std::uint16_t seq = 0;           ///< per-SSRC RTP sequence number
+  std::uint16_t transport_seq = 0; ///< transport-wide sequence number (TWCC)
+  bool marker = false;             ///< last packet of a frame
+  SvcLayer layer = SvcLayer::kNone;
 };
+
+static_assert(sizeof(RtpMeta) == 32);
 
 /// ICMP echo bookkeeping for the core→server probes of Fig. 2/3.
 struct IcmpMeta {

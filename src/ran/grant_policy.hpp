@@ -141,7 +141,6 @@ class MultiUeGrantPolicy {
 
   struct UeDemand {
     std::uint32_t ue = 0;
-    std::uint32_t eligible_bytes = 0;  ///< buffer old enough to make this slot
   };
 
   struct Allocation {

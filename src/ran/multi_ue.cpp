@@ -9,18 +9,6 @@
 
 namespace athena::ran {
 
-std::uint32_t UeRadioState::EligibleBufferBytes(sim::TimePoint slot_time,
-                                                sim::Duration processing_delay) const {
-  // The queue is ordered by enqueue time, so the packets not yet eligible
-  // are exactly a tail: subtract it from the running total.
-  std::uint32_t bytes = queued_bytes;
-  for (auto it = queue.rbegin();
-       it != queue.rend() && it->enqueued_at + processing_delay > slot_time; ++it) {
-    bytes -= it->remaining;
-  }
-  return bytes;
-}
-
 MultiUeUplink::MultiUeUplink(sim::Simulator& sim, RanConfig config, std::uint32_t cell_tag,
                              std::unique_ptr<MultiUeGrantPolicy> policy,
                              CrossTraffic cross_traffic, bool record_truth)
@@ -159,10 +147,7 @@ void MultiUeUplink::OnUplinkSlot() {
 
   // Divide what is left among the population.
   demand_.clear();
-  for (const auto& [ue, state] : ues_) {
-    demand_.push_back(MultiUeGrantPolicy::UeDemand{
-        ue, state.EligibleBufferBytes(slot_time, config_.ue_processing_delay)});
-  }
+  for (const auto& entry : ues_) demand_.push_back(MultiUeGrantPolicy::UeDemand{entry.first});
   policy_->OnUplinkSlot(slot_time, slot_index_, available, demand_, allocations_);
 
   // Transmit in UE-id order (the policy contract). A UE that got no PUSCH

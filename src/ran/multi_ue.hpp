@@ -84,11 +84,6 @@ struct UeRadioState {
   std::uint64_t lost = 0;       ///< HARQ-chain drops + handover-dropped chains
 
   [[nodiscard]] std::uint32_t TotalBufferBytes() const { return queued_bytes; }
-
-  /// Buffered bytes old enough (enqueued at least `processing_delay`
-  /// before `slot_time`) to ride a TB in this slot.
-  [[nodiscard]] std::uint32_t EligibleBufferBytes(sim::TimePoint slot_time,
-                                                  sim::Duration processing_delay) const;
 };
 
 class MultiUeUplink {

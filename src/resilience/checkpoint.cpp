@@ -54,8 +54,8 @@ void StateDigest::Mix(const std::vector<net::CaptureRecord>& records) {
     Mix(static_cast<std::uint64_t>(r.kind));
     Mix(r.size_bytes);
     Mix(r.flow);
-    Mix(r.rtp.has_value() ? r.rtp->frame_id + 1 : 0u);
-    Mix(r.icmp.has_value() ? r.icmp->probe_seq + 1 : 0u);
+    Mix(r.rtp() != nullptr ? r.rtp()->frame_id + 1 : 0u);
+    Mix(r.icmp() != nullptr ? r.icmp()->probe_seq + 1 : 0u);
   }
 }
 

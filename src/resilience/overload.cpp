@@ -21,7 +21,7 @@ void ShedStats::PublishMetrics() const {
 std::size_t InputBytes(const core::CorrelatorInput& input) {
   return input.telemetry.size() * sizeof(ran::TbRecord) +
          (input.sender.size() + input.core.size() + input.receiver.size()) *
-             sizeof(net::CaptureRecord);
+             kCaptureRecordBudgetBytes;
 }
 
 namespace {
@@ -58,7 +58,7 @@ ShedStats BoundInput(core::CorrelatorInput& input, const MemoryBudget& budget) {
   if (InputBytes(input) > budget.input_bytes) {
     for (auto* stream : {&input.sender, &input.core, &input.receiver}) {
       stats.icmp_shed += ShedWhere(
-          *stream, [](const net::CaptureRecord& r) { return r.icmp.has_value(); });
+          *stream, [](const net::CaptureRecord& r) { return r.icmp() != nullptr; });
     }
   }
 

@@ -67,8 +67,15 @@ struct ShedStats {
   void PublishMetrics() const;
 };
 
+/// What the governor charges per capture record: a fixed price, not
+/// `sizeof(net::CaptureRecord)`, so a byte budget (`--mem-budget`, the
+/// chaos catalog's, BENCH_resilience.json's) sheds the same records
+/// whatever the record's in-memory layout. Those budgets were set when a
+/// record took 112 B.
+inline constexpr std::size_t kCaptureRecordBudgetBytes = 112;
+
 /// Approximate resident bytes of a correlator input (records × record
-/// size; the governor's accounting unit).
+/// price; the governor's accounting unit).
 [[nodiscard]] std::size_t InputBytes(const core::CorrelatorInput& input);
 
 /// Enforces `budget.input_bytes` on `input` in the priority order above,

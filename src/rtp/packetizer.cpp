@@ -24,15 +24,15 @@ std::vector<net::Packet> Packetizer::Packetize(const MediaUnit& unit, sim::TimeP
     p.size_bytes = chunk + config_.header_overhead_bytes;
     p.created_at = now;
     p.rtp = net::RtpMeta{
-        .ssrc = config_.ssrc,
-        .seq = next_seq_++,
-        .media_ts = unit.media_ts,
-        .marker = (i + 1 == count),
-        .layer = unit.layer,
         .frame_id = unit.frame_id,
-        .transport_seq = transport_seq_.Next(),
+        .ssrc = config_.ssrc,
+        .media_ts = unit.media_ts,
         .packets_in_frame = count,
         .packet_index_in_frame = i,
+        .seq = next_seq_++,
+        .transport_seq = transport_seq_.Next(),
+        .marker = (i + 1 == count),
+        .layer = unit.layer,
     };
     out.push_back(std::move(p));
   }

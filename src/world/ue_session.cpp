@@ -135,9 +135,9 @@ void UeSession::OnMessage(WorldMsg& msg) {
 core::CorrelatorInput UeSession::BuildCorrelatorInput(std::vector<ran::TbRecord> telemetry,
                                                       const ran::RanConfig& cell) const {
   core::CorrelatorInput input;
-  input.sender = cap_sender_.records();
-  input.core = cap_core_.records();
-  input.receiver = cap_receiver_.records();
+  input.sender = cap_sender_.log().ToVector();
+  input.core = cap_core_.log().ToVector();
+  input.receiver = cap_receiver_.log().ToVector();
   input.telemetry = std::move(telemetry);
   // All session clocks are the common clock in the world (no drift
   // modeled); offsets stay zero.

@@ -19,6 +19,14 @@ namespace {
 using namespace std::chrono_literals;
 using sim::kEpoch;
 
+/// A capture record carrying only what the joins read.
+net::CaptureRecord Captured(net::PacketId id, sim::TimePoint local_ts) {
+  net::CaptureRecord r;
+  r.packet_id = id;
+  r.local_ts = local_ts;
+  return r;
+}
+
 // ---------- ClockSync ----------
 
 TEST(ClockSyncTest, ExchangeOffsetRecoveredOnSymmetricPath) {
@@ -70,10 +78,9 @@ TEST(ClockSyncTest, MinOwdOffset) {
 }
 
 TEST(ClockSyncTest, JoinCapturesMatchesByPacketId) {
-  net::CaptureRecord a1{.packet_id = 1, .local_ts = kEpoch + 1ms};
-  net::CaptureRecord a2{.packet_id = 2, .local_ts = kEpoch + 2ms};
-  net::CaptureRecord b1{.packet_id = 1, .local_ts = kEpoch + 11ms};
-  const auto pairs = ClockSync::JoinCaptures({a1, a2}, {b1});
+  const auto pairs =
+      ClockSync::JoinCaptures({Captured(1, kEpoch + 1ms), Captured(2, kEpoch + 2ms)},
+                              {Captured(1, kEpoch + 11ms)});
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0].a_ts, kEpoch + 1ms);
   EXPECT_EQ(pairs[0].b_ts, kEpoch + 11ms);
@@ -92,10 +99,20 @@ class CorrelatorSyntheticTest : public ::testing::Test {
     r.true_ts = ts;
     r.kind = kind;
     r.size_bytes = size;
-    r.rtp = net::RtpMeta{.layer = net::SvcLayer::kBase,
-                         .frame_id = frame_id,
-                         .packets_in_frame = 1,
-                         .packet_index_in_frame = 0};
+    r.set_rtp(net::RtpMeta{.frame_id = frame_id,
+                           .packets_in_frame = 1,
+                           .packet_index_in_frame = 0,
+                           .layer = net::SvcLayer::kBase});
+    return r;
+  }
+
+  /// `r` as packet `index` of a `count`-packet frame.
+  static net::CaptureRecord InFrame(net::CaptureRecord r, std::uint32_t count,
+                                    std::uint32_t index) {
+    net::RtpMeta rtp = *r.rtp();
+    rtp.packets_in_frame = count;
+    rtp.packet_index_in_frame = index;
+    r.set_rtp(rtp);
     return r;
   }
 
@@ -115,7 +132,7 @@ class CorrelatorSyntheticTest : public ::testing::Test {
 TEST_F(CorrelatorSyntheticTest, SinglePacketSingleTb) {
   CorrelatorInput input;
   input.sender = {SenderRecord(1, kEpoch + 1ms, 1000)};
-  input.core = {{.packet_id = 1, .local_ts = kEpoch + 3500us}};
+  input.core = {Captured(1, kEpoch + 3500us)};
   input.telemetry = {Tb(1, kEpoch + 2500us, 2500, 1000)};
   const auto data = Correlator::Correlate(input);
   ASSERT_EQ(data.packets.size(), 1u);
@@ -133,7 +150,7 @@ TEST_F(CorrelatorSyntheticTest, SinglePacketSingleTb) {
 TEST_F(CorrelatorSyntheticTest, PacketSpanningTwoTbs) {
   CorrelatorInput input;
   input.sender = {SenderRecord(1, kEpoch + 1ms, 3000, 11)};
-  input.core = {{.packet_id = 1, .local_ts = kEpoch + 6ms}};
+  input.core = {Captured(1, kEpoch + 6ms)};
   input.telemetry = {Tb(1, kEpoch + 2500us, 2500, 2500), Tb(2, kEpoch + 5000us, 2500, 500)};
   const auto data = Correlator::Correlate(input);
   ASSERT_EQ(data.packets.size(), 1u);
@@ -145,7 +162,7 @@ TEST_F(CorrelatorSyntheticTest, PacketSpanningTwoTbs) {
 TEST_F(CorrelatorSyntheticTest, RtxInflationMeasured) {
   CorrelatorInput input;
   input.sender = {SenderRecord(1, kEpoch + 1ms, 1000)};
-  input.core = {{.packet_id = 1, .local_ts = kEpoch + 13'500us}};
+  input.core = {Captured(1, kEpoch + 13'500us)};
   // First transmission fails, retransmission at +10 ms succeeds.
   input.telemetry = {Tb(1, kEpoch + 2500us, 2500, 1000, /*crc_ok=*/false),
                      Tb(2, kEpoch + 12'500us, 2500, 1000, true, /*round=*/1, /*chain=*/1)};
@@ -174,7 +191,7 @@ TEST_F(CorrelatorSyntheticTest, ClockOffsetIsApplied) {
   CorrelatorInput input;
   input.sender = {SenderRecord(1, kEpoch + 3ms, 1000)};  // sender clock +2 ms
   input.sender_offset = -2ms;
-  input.core = {{.packet_id = 1, .local_ts = kEpoch + 3500us}};
+  input.core = {Captured(1, kEpoch + 3500us)};
   input.telemetry = {Tb(1, kEpoch + 2500us, 2500, 1000)};
   const auto data = Correlator::Correlate(input);
   EXPECT_EQ(data.packets[0].sent_at, kEpoch + 1ms);
@@ -199,15 +216,10 @@ TEST_F(CorrelatorSyntheticTest, UnmatchedPacketBytesWhenTelemetryTruncated) {
 
 TEST_F(CorrelatorSyntheticTest, FrameAggregation) {
   CorrelatorInput input;
-  auto p1 = SenderRecord(1, kEpoch + 1ms, 1000, 5);
-  auto p2 = SenderRecord(2, kEpoch + 1100us, 1000, 5);
-  p1.rtp->packets_in_frame = 2;
-  p1.rtp->packet_index_in_frame = 0;
-  p2.rtp->packets_in_frame = 2;
-  p2.rtp->packet_index_in_frame = 1;
+  const auto p1 = InFrame(SenderRecord(1, kEpoch + 1ms, 1000, 5), 2, 0);
+  const auto p2 = InFrame(SenderRecord(2, kEpoch + 1100us, 1000, 5), 2, 1);
   input.sender = {p1, p2};
-  input.core = {{.packet_id = 1, .local_ts = kEpoch + 3500us},
-                {.packet_id = 2, .local_ts = kEpoch + 6000us}};
+  input.core = {Captured(1, kEpoch + 3500us), Captured(2, kEpoch + 6000us)};
   input.telemetry = {Tb(1, kEpoch + 2500us, 2500, 1000), Tb(2, kEpoch + 5000us, 2500, 1000)};
   const auto data = Correlator::Correlate(input);
   ASSERT_EQ(data.frames.size(), 1u);
@@ -221,10 +233,9 @@ TEST_F(CorrelatorSyntheticTest, FrameAggregation) {
 
 TEST_F(CorrelatorSyntheticTest, IncompleteFrameFlagged) {
   CorrelatorInput input;
-  auto p1 = SenderRecord(1, kEpoch + 1ms, 1000, 5);
-  p1.rtp->packets_in_frame = 2;
+  const auto p1 = InFrame(SenderRecord(1, kEpoch + 1ms, 1000, 5), 2, 0);
   input.sender = {p1};
-  input.core = {{.packet_id = 1, .local_ts = kEpoch + 3500us}};
+  input.core = {Captured(1, kEpoch + 3500us)};
   input.telemetry = {Tb(1, kEpoch + 2500us, 2500, 1000)};
   const auto data = Correlator::Correlate(input);
   ASSERT_EQ(data.frames.size(), 1u);
@@ -275,8 +286,8 @@ TEST_F(CorrelatorEndToEndTest, UplinkOwdMatchesGroundTruthWithin1ms) {
   app::SessionConfig config;
   config.sender_clock_offset = 1500us;  // must be estimated away
   Run(config);
-  const auto& sender_records = session_->sender_capture().records();
-  const auto& core_records = session_->core_capture().records();
+  const auto& sender_records = session_->sender_capture().log();
+  const auto& core_records = session_->core_capture().log();
   std::unordered_map<net::PacketId, sim::TimePoint> true_send;
   for (const auto& r : sender_records) true_send[r.packet_id] = r.true_ts;
   std::unordered_map<net::PacketId, sim::TimePoint> true_core;

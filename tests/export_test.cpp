@@ -82,7 +82,7 @@ TEST_F(ExportTest, TelemetryCsvMatchesRecordCount) {
 
 TEST_F(ExportTest, CaptureCsvMatchesCaptureCount) {
   std::ostringstream os;
-  CsvExport::Capture(os, session_->sender_capture().records());
+  CsvExport::Capture(os, session_->sender_capture().log());
   EXPECT_EQ(CountLines(os.str()), session_->sender_capture().count() + 1);
 }
 

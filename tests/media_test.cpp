@@ -269,12 +269,12 @@ class JitterBufferTest : public ::testing::Test {
     p.kind = net::PacketKind::kRtpVideo;
     p.size_bytes = 1200;
     p.rtp = net::RtpMeta{
-        .media_ts = media_ts,
-        .marker = index + 1 == count,
-        .layer = net::SvcLayer::kBase,
         .frame_id = frame_id,
+        .media_ts = media_ts,
         .packets_in_frame = count,
         .packet_index_in_frame = index,
+        .marker = index + 1 == count,
+        .layer = net::SvcLayer::kBase,
     };
     return p;
   }

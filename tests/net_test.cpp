@@ -1,4 +1,5 @@
 #include <chrono>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -81,8 +82,8 @@ TEST(CapturePointTest, RecordsAndForwards) {
   sim.RunAll();
   EXPECT_EQ(forwarded, 1);
   ASSERT_EQ(cap.count(), 1u);
-  EXPECT_EQ(cap.records()[0].packet_id, 1u);
-  EXPECT_EQ(cap.records()[0].true_ts, kEpoch + 5ms);
+  EXPECT_EQ(cap.log()[0].packet_id, 1u);
+  EXPECT_EQ(cap.log()[0].true_ts, kEpoch + 5ms);
 }
 
 TEST(CapturePointTest, LocalTimestampUsesHostClock) {
@@ -90,8 +91,8 @@ TEST(CapturePointTest, LocalTimestampUsesHostClock) {
   CapturePoint cap{sim, "tap", HostClock{1ms, 0.0}};
   sim.ScheduleAfter(5ms, [&] { cap.OnPacket(MakePacket(1)); });
   sim.RunAll();
-  EXPECT_EQ(cap.records()[0].local_ts, kEpoch + 6ms);
-  EXPECT_EQ(cap.records()[0].true_ts, kEpoch + 5ms);
+  EXPECT_EQ(cap.log()[0].local_ts, kEpoch + 6ms);
+  EXPECT_EQ(cap.log()[0].true_ts, kEpoch + 5ms);
 }
 
 TEST(CapturePointTest, CopiesRtpMetadata) {
@@ -100,8 +101,8 @@ TEST(CapturePointTest, CopiesRtpMetadata) {
   Packet p = MakePacket(1, 1200, PacketKind::kRtpVideo);
   p.rtp = RtpMeta{.frame_id = 77, .transport_seq = 5};
   cap.OnPacket(p);
-  ASSERT_TRUE(cap.records()[0].rtp.has_value());
-  EXPECT_EQ(cap.records()[0].rtp->frame_id, 77u);
+  ASSERT_NE(cap.log()[0].rtp(), nullptr);
+  EXPECT_EQ(cap.log()[0].rtp()->frame_id, 77u);
 }
 
 TEST(CapturePointTest, ClearEmptiesLog) {
@@ -116,6 +117,138 @@ TEST(CapturePointTest, WorksWithoutSink) {
   sim::Simulator sim;
   CapturePoint cap{sim, "tap"};
   EXPECT_NO_THROW(cap.OnPacket(MakePacket(1)));
+}
+
+TEST(CapturePointTest, CopiesIcmpMetadata) {
+  sim::Simulator sim;
+  CapturePoint cap{sim, "tap"};
+  Packet p = MakePacket(1, 64, PacketKind::kIcmpEcho);
+  p.icmp = IcmpMeta{.probe_seq = 9, .echo_sent_at = kEpoch + 3ms};
+  cap.OnPacket(p);
+  ASSERT_NE(cap.log()[0].icmp(), nullptr);
+  EXPECT_EQ(cap.log()[0].icmp()->probe_seq, 9u);
+  EXPECT_EQ(cap.log()[0].icmp()->echo_sent_at, kEpoch + 3ms);
+  EXPECT_EQ(cap.log()[0].rtp(), nullptr);
+}
+
+TEST(CaptureRecordTest, OneHeaderSlotHoldsRtpOrIcmp) {
+  CaptureRecord r;
+  EXPECT_EQ(r.rtp(), nullptr);
+  EXPECT_EQ(r.icmp(), nullptr);
+  r.set_rtp(RtpMeta{.frame_id = 4});
+  ASSERT_NE(r.rtp(), nullptr);
+  EXPECT_EQ(r.rtp()->frame_id, 4u);
+  EXPECT_EQ(r.icmp(), nullptr);
+  r.set_icmp(IcmpMeta{.probe_seq = 2, .echo_sent_at = kEpoch});
+  EXPECT_EQ(r.rtp(), nullptr);
+  ASSERT_NE(r.icmp(), nullptr);
+  EXPECT_EQ(r.icmp()->probe_seq, 2u);
+  r.clear_header();
+  EXPECT_EQ(r.rtp(), nullptr);
+  EXPECT_EQ(r.icmp(), nullptr);
+}
+
+TEST(CapturePointDeathTest, PacketCarryingRtpAndIcmpIsFatal) {
+  sim::Simulator sim;
+  CapturePoint cap{sim, "tap"};
+  Packet p = MakePacket(1);
+  p.rtp = RtpMeta{};
+  p.icmp = IcmpMeta{};
+  EXPECT_DEATH(cap.OnPacket(p), "ATHENA_CHECK failed");
+}
+
+// ---------- ChunkedLog ----------
+
+/// Record `i` of a test log: every field distinct, headers rotating
+/// through RTP, ICMP and none.
+CaptureRecord Numbered(std::uint64_t i) {
+  CaptureRecord r;
+  r.packet_id = i + 1;
+  r.local_ts = kEpoch + sim::Duration{static_cast<std::int64_t>(3 * i + 1)};
+  r.true_ts = kEpoch + sim::Duration{static_cast<std::int64_t>(3 * i)};
+  r.size_bytes = static_cast<std::uint32_t>(40 + i % 1400);
+  r.flow = static_cast<FlowId>(i % 7);
+  r.kind = i % 3 == 1 ? PacketKind::kIcmpEcho : PacketKind::kRtpVideo;
+  if (i % 3 == 0) {
+    r.set_rtp(RtpMeta{.frame_id = i / 3,
+                      .ssrc = 0x10,
+                      .media_ts = static_cast<std::uint32_t>(90 * i),
+                      .packets_in_frame = 3,
+                      .packet_index_in_frame = static_cast<std::uint32_t>(i % 3),
+                      .seq = static_cast<std::uint16_t>(i),
+                      .transport_seq = static_cast<std::uint16_t>(i + 5),
+                      .marker = i % 2 == 0,
+                      .layer = SvcLayer::kBase});
+  } else if (i % 3 == 1) {
+    r.set_icmp(IcmpMeta{.probe_seq = static_cast<std::uint32_t>(i),
+                        .echo_sent_at = r.true_ts});
+  }
+  return r;
+}
+
+void ExpectSameRecord(const CaptureRecord& got, const CaptureRecord& want) {
+  EXPECT_EQ(got.packet_id, want.packet_id);
+  EXPECT_EQ(got.local_ts, want.local_ts);
+  EXPECT_EQ(got.true_ts, want.true_ts);
+  EXPECT_EQ(got.size_bytes, want.size_bytes);
+  EXPECT_EQ(got.flow, want.flow);
+  EXPECT_EQ(got.kind, want.kind);
+  ASSERT_EQ(got.rtp() != nullptr, want.rtp() != nullptr);
+  if (want.rtp() != nullptr) {
+    EXPECT_EQ(got.rtp()->frame_id, want.rtp()->frame_id);
+    EXPECT_EQ(got.rtp()->ssrc, want.rtp()->ssrc);
+    EXPECT_EQ(got.rtp()->media_ts, want.rtp()->media_ts);
+    EXPECT_EQ(got.rtp()->packets_in_frame, want.rtp()->packets_in_frame);
+    EXPECT_EQ(got.rtp()->packet_index_in_frame, want.rtp()->packet_index_in_frame);
+    EXPECT_EQ(got.rtp()->seq, want.rtp()->seq);
+    EXPECT_EQ(got.rtp()->transport_seq, want.rtp()->transport_seq);
+    EXPECT_EQ(got.rtp()->marker, want.rtp()->marker);
+    EXPECT_EQ(got.rtp()->layer, want.rtp()->layer);
+  }
+  ASSERT_EQ(got.icmp() != nullptr, want.icmp() != nullptr);
+  if (want.icmp() != nullptr) {
+    EXPECT_EQ(got.icmp()->probe_seq, want.icmp()->probe_seq);
+    EXPECT_EQ(got.icmp()->echo_sent_at, want.icmp()->echo_sent_at);
+  }
+}
+
+TEST(ChunkedLogTest, MatchesAVectorModelAtEveryBlockBoundary) {
+  constexpr std::size_t kBlock = CaptureLog::kBlock;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kBlock - 1, kBlock, kBlock + 1,
+                              37 * kBlock + 5}) {
+    SCOPED_TRACE(n);
+    CaptureLog log;
+    std::vector<CaptureRecord> model;
+    for (std::size_t i = 0; i < n; ++i) {
+      log.push_back(Numbered(i));
+      model.push_back(Numbered(i));
+      // At most one partly filled block is ever unused.
+      ASSERT_LT(log.capacity() - log.size(), kBlock);
+    }
+    ASSERT_EQ(log.size(), n);
+    EXPECT_EQ(log.capacity(), (n + kBlock - 1) / kBlock * kBlock);
+
+    for (std::size_t i = 0; i < n; ++i) ExpectSameRecord(log[i], model[i]);
+    std::size_t visited = 0;
+    for (const CaptureRecord& r : log) ExpectSameRecord(r, model[visited++]);
+    EXPECT_EQ(visited, n);
+
+    const std::vector<CaptureRecord> copy = log.ToVector();
+    ASSERT_EQ(copy.size(), n);
+    for (std::size_t i = 0; i < n; ++i) ExpectSameRecord(copy[i], model[i]);
+  }
+}
+
+TEST(ChunkedLogTest, ClearReleasesEveryBlock) {
+  CaptureLog log;
+  for (std::uint64_t i = 0; i < 3 * CaptureLog::kBlock; ++i) log.push_back(Numbered(i));
+  log.Clear();
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.capacity(), 0u);
+  EXPECT_EQ(log.begin(), log.end());
+  log.push_back(Numbered(7));
+  ASSERT_EQ(log.size(), 1u);
+  ExpectSameRecord(log[0], Numbered(7));
 }
 
 // ---------- CapacityTrace ----------

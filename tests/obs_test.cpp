@@ -357,8 +357,7 @@ TEST(Obs, DisabledObservabilityChangesNothing) {
       std::uint64_t events;
       std::vector<net::CaptureRecord> core_records;
     };
-    return Result{sim.events_executed(),
-                  std::vector<net::CaptureRecord>(session.core_capture().records())};
+    return Result{sim.events_executed(), session.core_capture().log().ToVector()};
   };
 
   const auto plain = RunOnce(false);

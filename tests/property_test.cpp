@@ -195,11 +195,11 @@ TEST_P(JitterBufferProperty, PlayoutMonotoneAndNoDuplicates) {
       p.id = static_cast<net::PacketId>(i + 1);
       p.kind = net::PacketKind::kRtpVideo;
       p.size_bytes = 1200;
-      p.rtp = net::RtpMeta{.media_ts = static_cast<std::uint32_t>(i) * 2970,
-                           .marker = true,
-                           .frame_id = static_cast<std::uint64_t>(i) * 2 + 1,
+      p.rtp = net::RtpMeta{.frame_id = static_cast<std::uint64_t>(i) * 2 + 1,
+                           .media_ts = static_cast<std::uint32_t>(i) * 2970,
                            .packets_in_frame = 1,
-                           .packet_index_in_frame = 0};
+                           .packet_index_in_frame = 0,
+                           .marker = true};
       (void)sim;
       jb.OnPacket(p);
     });

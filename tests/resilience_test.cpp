@@ -494,10 +494,10 @@ core::CorrelatorInput MakeOverloadInput() {
     r.local_ts = kEpoch + i * 1ms;
     r.size_bytes = 1200;
     if (i >= 100) {  // last 50 are ICMP probes
-      r.icmp = net::IcmpMeta{.probe_seq = static_cast<std::uint32_t>(i),
-                             .echo_sent_at = r.local_ts};
+      r.set_icmp(net::IcmpMeta{.probe_seq = static_cast<std::uint32_t>(i),
+                               .echo_sent_at = r.local_ts});
     } else {
-      r.rtp = net::RtpMeta{.seq = static_cast<std::uint16_t>(i)};
+      r.set_rtp(net::RtpMeta{.seq = static_cast<std::uint16_t>(i)});
     }
     input.core.push_back(r);
   }
@@ -514,7 +514,7 @@ TEST(OverloadGovernorTest, UnboundedBudgetShedsNothing) {
 
 TEST(OverloadGovernorTest, ShedsIcmpBeforeTouchingData) {
   core::CorrelatorInput input = MakeOverloadInput();
-  const std::size_t icmp_bytes = 50 * sizeof(net::CaptureRecord);
+  const std::size_t icmp_bytes = 50 * resilience::kCaptureRecordBudgetBytes;
   MemoryBudget budget;
   budget.input_bytes = resilience::InputBytes(input) - icmp_bytes / 2;
   const resilience::ShedStats stats = BoundInput(input, budget);

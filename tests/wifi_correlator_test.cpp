@@ -19,7 +19,14 @@ net::CaptureRecord Sent(net::PacketId id, sim::TimePoint ts, std::uint32_t size 
   r.local_ts = ts;
   r.kind = net::PacketKind::kRtpVideo;
   r.size_bytes = size;
-  r.rtp = net::RtpMeta{.frame_id = id * 2 + 1};
+  r.set_rtp(net::RtpMeta{.frame_id = id * 2 + 1});
+  return r;
+}
+
+net::CaptureRecord Egress(net::PacketId id, sim::TimePoint ts) {
+  net::CaptureRecord r;
+  r.packet_id = id;
+  r.local_ts = ts;
   return r;
 }
 
@@ -38,7 +45,7 @@ net::WifiAirtimeRecord Attempt(net::PacketId id, std::uint8_t attempt, sim::Time
 TEST(WifiCorrelatorTest, CleanPacketDecomposition) {
   WifiCorrelatorInput input;
   input.sender = {Sent(1, kEpoch + 1ms)};
-  input.egress = {{.packet_id = 1, .local_ts = kEpoch + 1ms + 900us}};
+  input.egress = {Egress(1, kEpoch + 1ms + 900us)};
   input.telemetry = {Attempt(1, 1, kEpoch + 1ms, 700us)};
   const auto data = WifiCorrelator::Correlate(input);
   ASSERT_EQ(data.packets.size(), 1u);
@@ -54,7 +61,7 @@ TEST(WifiCorrelatorTest, CleanPacketDecomposition) {
 TEST(WifiCorrelatorTest, HolWaitMeasured) {
   WifiCorrelatorInput input;
   input.sender = {Sent(1, kEpoch + 1ms)};
-  input.egress = {{.packet_id = 1, .local_ts = kEpoch + 6ms}};
+  input.egress = {Egress(1, kEpoch + 6ms)};
   // The station only started contending for this packet 4 ms after send
   // (a previous packet held the queue).
   input.telemetry = {Attempt(1, 1, kEpoch + 5ms, 100us)};
@@ -67,7 +74,7 @@ TEST(WifiCorrelatorTest, HolWaitMeasured) {
 TEST(WifiCorrelatorTest, CollisionRetryAttribution) {
   WifiCorrelatorInput input;
   input.sender = {Sent(1, kEpoch + 1ms)};
-  input.egress = {{.packet_id = 1, .local_ts = kEpoch + 9ms}};
+  input.egress = {Egress(1, kEpoch + 9ms)};
   input.telemetry = {
       Attempt(1, 1, kEpoch + 1ms, 300us, /*collided=*/true),
       Attempt(1, 2, kEpoch + 4ms, 300us),

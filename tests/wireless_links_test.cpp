@@ -211,8 +211,8 @@ TEST(AltAccessSessionTest, ArtifactProfilesDiffer) {
     config.access = access;
     app::Session session{sim, config};
     session.Run(20s);
-    const auto pairs = core::ClockSync::JoinCaptures(session.sender_capture().records(),
-                                                     session.core_capture().records());
+    const auto pairs = core::ClockSync::JoinCaptures(session.sender_capture().log().ToVector(),
+                                                     session.core_capture().log().ToVector());
     stats::Cdf owd;
     for (const auto& p : pairs) owd.Add(sim::ToMs(p.b_ts - p.a_ts));
     return owd;

@@ -308,5 +308,18 @@ TEST(WorldChaosScenarioTest, CellQuarantineContractHolds) {
   EXPECT_TRUE(e.faulted.result.conservation_ok);
 }
 
+TEST(WorldChaosScenarioTest, QuarantineLossRuleRejectsASwappedPair) {
+  const fault::ChaosOutcome outcome = RunCatalogWorld("world_cell_quarantine");
+  const fault::WorldEvidence& e = outcome.world();
+  const world::WorldResult& quarantined = e.faulted.result;
+  EXPECT_GT(quarantined.lost + quarantined.in_flight, e.clean.lost + e.clean.in_flight);
+  EXPECT_EQ(fault::QuarantineLossViolation(e.clean, quarantined), "");
+  // The clean world judged as if it were the quarantined one.
+  EXPECT_NE(fault::QuarantineLossViolation(quarantined, e.clean).find("did not raise"),
+            std::string::npos);
+  // Equal totals are not a rise either.
+  EXPECT_NE(fault::QuarantineLossViolation(quarantined, quarantined), "");
+}
+
 }  // namespace
 }  // namespace athena::resilience
