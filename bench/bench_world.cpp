@@ -20,17 +20,21 @@
 //     per-window work divides across shards. The ">=5x at 8 shards"
 //     acceptance bound watches this number, and `hardware_concurrency`
 //     is recorded alongside so a reader can tell which regime the
-//     measured number came from.
+//     measured number came from. One timing sample swings it by 2x on
+//     a shared host, so the sequential runs repeat, interleaved across
+//     shard counts, and the medians divide; the quartiles are recorded.
 //
 // Digest identity across all three shard counts (and the byte-identity
 // of the FleetReport JSON) is asserted, not just recorded — a scaling
 // win that changes the answer is a bug, not a result.
 //
-// The `memory` block records the process's peak RSS after the runs above,
-// then again after one 1-shard sequential run four times as long (8 s
-// at full sizing): how world memory grows with virtual time. The file is
-// stamped with the build type and the git revision (pass --git-rev=REV;
-// bench/run_bench_world.sh does).
+// The `memory` block records the process's peak RSS after one 1-shard
+// sequential run, then again after one four times as long (8 s at full
+// sizing): how world memory grows with virtual time. Both readings are
+// taken before any threaded run, whose per-thread malloc arenas would
+// keep their peak, so they match a process that runs one world alone.
+// The file is stamped with the build type and the git revision (pass
+// --git-rev=REV; bench/run_bench_world.sh does).
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -40,6 +44,8 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -88,6 +94,31 @@ double PeakRssMb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
+struct Quartiles {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+};
+
+/// Linear-interpolated quartiles of `samples` (non-empty).
+Quartiles QuartilesOf(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const auto at = [&](double q) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (pos - static_cast<double>(lo)) * (samples[hi] - samples[lo]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
+std::string QuartilesJson(const Quartiles& q) {
+  std::ostringstream os;
+  os << "{\"q1\": " << q.q1 << ", \"median\": " << q.median << ", \"q3\": " << q.q3
+     << "}";
+  return os.str();
+}
+
 std::string HexDigest(std::uint64_t digest) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -118,8 +149,19 @@ int main(int argc, char** argv) {
             << base.duration.count() / 1000 << " ms virtual, host concurrency "
             << hw << '\n';
 
-  // Untimed warmup so allocator growth lands outside every clock.
+  // Memory first, before any thread starts: peak RSS after one 1-shard
+  // sequential run (which doubles as the untimed warmup, so allocator
+  // growth lands outside every clock), then after one four times as long.
   (void)RunAt(base, 1, /*threaded=*/false);
+  const double peak_rss_mb_short = PeakRssMb();
+  world::WorldConfig long_config = base;
+  long_config.duration = 4 * base.duration;
+  const RunRecord long_run = RunAt(long_config, 1, /*threaded=*/false);
+  const double peak_rss_mb_long = PeakRssMb();
+  std::cout << "  peak RSS " << peak_rss_mb_short << " MB after a "
+            << base.duration.count() / 1000 << " ms 1-shard run, " << peak_rss_mb_long
+            << " MB after a " << long_config.duration.count() / 1000
+            << " ms one (wall " << long_run.result.wall_seconds << " s)\n";
 
   // Each shard count runs twice: threaded (the production path — digest
   // identity and the measured wall number) and sequential (the same
@@ -175,40 +217,57 @@ int main(int argc, char** argv) {
               << HexDigest(supervised.result.digest) << '\n';
   }
 
-  // Memory growth in virtual time: peak RSS so far, then after a run four
-  // times as long on one sequential shard.
-  const double peak_rss_mb_short = PeakRssMb();
-  world::WorldConfig long_config = base;
-  long_config.duration = 4 * base.duration;
-  const RunRecord long_run = RunAt(long_config, 1, /*threaded=*/false);
-  const double peak_rss_mb_long = PeakRssMb();
-  std::cout << "  peak RSS " << peak_rss_mb_short << " MB after the "
-            << base.duration.count() / 1000 << " ms runs, " << peak_rss_mb_long
-            << " MB after a " << long_config.duration.count() / 1000
-            << " ms 1-shard run (wall " << long_run.result.wall_seconds << " s)\n";
-
-  const RunRecord& serial = runs.front();
-  bool conservation_ok = true;
-  bool digest_identical = true;
-  bool fleet_identical = true;
-  for (const RunRecord& r : runs) {
-    conservation_ok = conservation_ok && r.result.conservation_ok;
-    digest_identical = digest_identical && r.result.digest == serial.result.digest;
-    fleet_identical =
-        fleet_identical && r.result.fleet_json == serial.result.fleet_json;
-  }
-
   const auto find = [&](std::size_t shards, bool threaded) -> const RunRecord& {
     for (const RunRecord& r : runs) {
       if (r.shards == shards && r.threaded == threaded) return r;
     }
     std::abort();
   };
+
+  // The modeled speedups' samples: the plans' sequential runs, then
+  // more 1-, 2- and 8-shard sequential runs, interleaved so host drift
+  // hits every shard count alike.
+  const std::size_t repetitions = smoke ? 3 : 7;
+  constexpr std::array<std::size_t, 2> kModeled{2, 8};
+  std::vector<RunRecord> repeats;
+  std::vector<double> busy_1{find(1, false).result.busy_seconds};
+  std::map<std::size_t, std::vector<double>> critical;  // by shard count
+  for (const std::size_t shards : kModeled) {
+    critical[shards].push_back(find(shards, false).result.critical_path_seconds);
+  }
+  for (std::size_t i = 1; i < repetitions; ++i) {
+    repeats.push_back(RunAt(base, 1, /*threaded=*/false));
+    busy_1.push_back(repeats.back().result.busy_seconds);
+    for (const std::size_t shards : kModeled) {
+      repeats.push_back(RunAt(base, shards, /*threaded=*/false));
+      critical[shards].push_back(repeats.back().result.critical_path_seconds);
+    }
+  }
+  std::vector<double> speedups_8;  // each interleaved round's own ratio
+  for (std::size_t i = 0; i < repetitions; ++i) {
+    speedups_8.push_back(critical[8][i] > 0.0 ? busy_1[i] / critical[8][i] : 0.0);
+  }
+  const Quartiles busy_1_q = QuartilesOf(busy_1);
+  std::cout << "  " << repetitions << " interleaved 1-/2-/8-shard sequential rounds: "
+            << "busy(1) median " << busy_1_q.median << " s, critical path(8) median "
+            << QuartilesOf(critical[8]).median << " s\n";
+
+  const RunRecord& serial = runs.front();
+  bool conservation_ok = true;
+  bool digest_identical = true;
+  bool fleet_identical = true;
+  for (const std::vector<RunRecord>* all : {&runs, &repeats}) {
+    for (const RunRecord& r : *all) {
+      conservation_ok = conservation_ok && r.result.conservation_ok;
+      digest_identical = digest_identical && r.result.digest == serial.result.digest;
+      fleet_identical =
+          fleet_identical && r.result.fleet_json == serial.result.fleet_json;
+    }
+  }
+
   const auto modeled = [&](std::size_t shards) {
-    const RunRecord& r = find(shards, /*threaded=*/false);
-    return r.result.critical_path_seconds > 0.0
-               ? serial.result.busy_seconds / r.result.critical_path_seconds
-               : 0.0;
+    const double path = QuartilesOf(critical[shards]).median;
+    return path > 0.0 ? busy_1_q.median / path : 0.0;
   };
   const auto measured = [&](std::size_t shards) {
     const RunRecord& r = find(shards, /*threaded=*/true);
@@ -284,20 +343,29 @@ int main(int argc, char** argv) {
   os << "    \"long_run_wall_seconds\": " << long_run.result.wall_seconds << ",\n";
   os << "    \"long_run_events\": " << long_run.result.events_executed << ",\n";
   os << "    \"peak_rss_mb_after_long_run\": " << peak_rss_mb_long << ",\n";
-  os << "    \"note\": \"process peak RSS (ru_maxrss): after every run above, threaded "
-        "ones included, then after one 1-shard sequential run of long_run_virtual_ms; a "
-        "process that runs one world alone peaks lower\"\n";
+  os << "    \"note\": \"process peak RSS (ru_maxrss), read before any threaded run: "
+        "after one 1-shard sequential run of virtual_ms, then after one of "
+        "long_run_virtual_ms\"\n";
   os << "  },\n";
   os << "  \"speedup\": {\n";
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {
+  for (const std::size_t shards : kModeled) {
     os << "    \"modeled_" << shards << "_shards\": " << modeled(shards)
        << ",\n";
     os << "    \"measured_wall_" << shards << "_shards\": " << measured(shards)
        << ",\n";
   }
-  os << "    \"note\": \"modeled = busy(1)/critical_path(S) from the "
-        "sequential runs (clean busy, no preemption booked), the scaling the "
-        "shard decomposition achieves on an S-core host; measured_wall is "
+  os << "    \"modeled_repetitions\": " << repetitions << ",\n";
+  os << "    \"busy_1_shard_seconds\": " << QuartilesJson(busy_1_q) << ",\n";
+  for (const std::size_t shards : kModeled) {
+    os << "    \"critical_path_" << shards
+       << "_shards_seconds\": " << QuartilesJson(QuartilesOf(critical[shards])) << ",\n";
+  }
+  os << "    \"modeled_8_shards_per_round\": " << QuartilesJson(QuartilesOf(speedups_8))
+     << ",\n";
+  os << "    \"note\": \"modeled = median busy(1) / median critical_path(S) over "
+        "modeled_repetitions interleaved rounds of sequential runs (clean busy, no "
+        "preemption booked; quartiles above, per_round = each round's own ratio), the "
+        "scaling the shard decomposition achieves on an S-core host; measured_wall is "
         "the threaded runs on this host, see hardware_concurrency\"\n";
   os << "  },\n";
   os << "  \"acceptance\": {\n";

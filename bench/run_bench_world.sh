@@ -8,9 +8,11 @@
 #     carries a "resilience" block from a supervised kill/restore run:
 #     world-checkpoint size, serialize cost, restore replay latency,
 #     and recovered-digest identity against the uninterrupted oracle.
-#     A "memory" block records peak RSS after those runs and after one
-#     more 1-shard run four times as long; the file is stamped with the
-#     build type and `git describe --dirty`.
+#     A "memory" block records peak RSS after one 1-shard run and after
+#     one four times as long, both before any threaded run; the modeled
+#     speedups are medians over interleaved repeated sequential runs,
+#     with their quartiles. The file is stamped with the build type and
+#     `git describe --dirty`.
 #
 # Usage: bench/run_bench_world.sh [build-dir] [--smoke]
 #   (default build dir: ./build; --smoke uses the reduced CI sizing)

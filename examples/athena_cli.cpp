@@ -163,10 +163,10 @@
 #include "fault/chaos.hpp"
 #include "mitigation/control/runtime.hpp"
 #include "obs/fleet/report.hpp"
-#include "obs/live/exposition.hpp"
 #include "obs/live/health.hpp"
 #include "obs/pipeline/export.hpp"
 #include "obs/pipeline/pipeline.hpp"
+#include "obs/prom_text.hpp"
 #include "resilience/checkpoint.hpp"
 #include "resilience/supervisor.hpp"
 #include "resilience/world_checkpoint.hpp"
@@ -475,9 +475,8 @@ int FinishFleet(const Options& opt, const obs::fleet::FleetAggregator& aggregato
   }
 
   if (!opt.fleet_expose.empty()) {
-    // Publish into a scoped registry and render through the shared
-    // prom_text exposition path — the same formatter every other metric
-    // family uses.
+    // Publish into a scoped registry and render through the one
+    // exposition writer every other metric family uses.
     obs::MetricsRegistry registry;
     {
       obs::ScopedMetrics scope{&registry};
@@ -486,9 +485,7 @@ int FinishFleet(const Options& opt, const obs::fleet::FleetAggregator& aggregato
     }
     std::ofstream os{opt.fleet_expose};
     if (!os) throw std::runtime_error("cannot write " + opt.fleet_expose);
-    const obs::pipeline::TimeBucketRollup empty;
-    obs::pipeline::WritePrometheusShard(os, empty, &registry,
-                                        {.shard = 0, .shard_count = 1});
+    obs::prom::WritePrometheus(os, registry);
     std::cout << "wrote " << opt.fleet_expose << '\n';
   }
 
@@ -598,7 +595,7 @@ RunResult RunOne(const Options& opt, std::uint64_t seed, std::size_t run_index,
     }
     if (!opt.expose_path.empty()) {
       write(RunPath(opt.expose_path, run_index, sweep), [&](std::ostream& os) {
-        obs::live::WritePrometheus(os, observability->registry(),
+        obs::prom::WritePrometheus(os, observability->registry(), nullptr,
                                    observability->live());
       });
     }
@@ -1133,9 +1130,8 @@ int main(int argc, char** argv) {
         const std::string path = TagPath(opt.expose_path, ".shard" + std::to_string(s));
         std::ofstream os{path};
         if (!os) throw std::runtime_error("cannot write " + path);
-        obs::pipeline::WritePrometheusShard(
-            os, pipeline->rollup(), &fleet_registry,
-            {.shard = s, .shard_count = opt.export_shards});
+        obs::prom::WritePrometheus(os, fleet_registry, &pipeline->rollup(), nullptr,
+                                   {.shard = s, .shard_count = opt.export_shards});
         std::cout << "wrote " << path << '\n';
       }
       if (!opt.perfetto_out.empty()) {

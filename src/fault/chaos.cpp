@@ -15,6 +15,7 @@
 #include "obs/live/detectors.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "obs/trace_json.hpp"
 #include "resilience/checkpoint.hpp"
 #include "resilience/overload.hpp"
 #include "resilience/supervisor.hpp"
@@ -948,20 +949,14 @@ namespace {
 
 const char* Bool(bool b) { return b ? "true" : "false"; }
 
-void WriteJsonString(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
+using obs::jsonio::Number;
 
 void WriteQoe(std::ostream& os, const char* key, const MitigationQoe& q) {
-  os << ", \"" << key << "\": {\"ssim_mean\": " << q.ssim_mean
-     << ", \"late_fraction\": " << q.late_fraction << ", \"audio_loss\": " << q.audio_loss
-     << ", \"audio_mos\": " << q.audio_mos << ", \"frames_rendered\": " << q.frames_rendered
-     << "}";
+  os << ", \"" << key << "\": {\"ssim_mean\": " << Number{q.ssim_mean}
+     << ", \"late_fraction\": " << Number{q.late_fraction}
+     << ", \"audio_loss\": " << Number{q.audio_loss}
+     << ", \"audio_mos\": " << Number{q.audio_mos}
+     << ", \"frames_rendered\": " << q.frames_rendered << "}";
 }
 
 /// Writes one outcome's evidence fields, between its verdict head
@@ -981,7 +976,7 @@ struct EvidenceJson {
        << ", \"telemetry_gaps\": " << e.telemetry_gaps
        << ", \"telemetry_repairs\": " << e.telemetry_repairs
        << ", \"uncovered_packets\": " << e.uncovered_packets
-       << ", \"mean_match_confidence\": " << e.mean_match_confidence
+       << ", \"mean_match_confidence\": " << Number{e.mean_match_confidence}
        << ", \"anomalies_total\": " << e.anomalies_total
        << ", \"telemetry_gap_anomalies\": " << e.telemetry_gap_anomalies
        << ", \"packets_correlated\": " << e.packets_correlated
@@ -1012,8 +1007,8 @@ struct EvidenceJson {
        << ", \"checkpoints\": " << e.faulted.checkpoints_taken
        << ", \"quarantined_cells\": " << r.quarantined_cells.size();
     if (e.outage_group_owd) {
-      os << ", \"outage_group_owd_ms\": " << e.outage_group_owd->faulted_ms
-         << ", \"clean_outage_group_owd_ms\": " << e.outage_group_owd->clean_ms;
+      os << ", \"outage_group_owd_ms\": " << Number{e.outage_group_owd->faulted_ms}
+         << ", \"clean_outage_group_owd_ms\": " << Number{e.outage_group_owd->clean_ms};
     }
   }
 };
@@ -1069,7 +1064,7 @@ void WriteChaosJson(std::ostream& os, const ChaosMatrixResult& result) {
   os << "  \"base_seed\": " << result.base_seed << ",\n";
   os << "  \"seeds\": " << result.seeds << ",\n";
   os << "  \"jobs\": " << result.jobs << ",\n";
-  if (mitigate) os << "  \"budget_ms\": " << sim::ToMs(result.options.budget) << ",\n";
+  if (mitigate) os << "  \"budget_ms\": " << Number{sim::ToMs(result.options.budget)} << ",\n";
   os << "  \"runs\": " << result.outcomes.size() << ",\n";
   os << "  \"failures\": " << result.failures() << ",\n";
   os << "  \"all_ok\": " << Bool(result.all_ok()) << ",\n";
@@ -1077,12 +1072,12 @@ void WriteChaosJson(std::ostream& os, const ChaosMatrixResult& result) {
   for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
     const ChaosOutcome& o = result.outcomes[i];
     os << "    {\"scenario\": ";
-    WriteJsonString(os, o.scenario);
+    obs::jsonio::WriteString(os, o.scenario);
     os << ", \"seed\": " << o.seed << ", \"ok\": " << Bool(o.ok())
        << ", \"survived\": " << Bool(o.survived);
     std::visit(EvidenceJson{os, o}, o.evidence);
     os << ", \"failure\": ";
-    WriteJsonString(os, o.failure);
+    obs::jsonio::WriteString(os, o.failure);
     os << "}" << (i + 1 < result.outcomes.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";

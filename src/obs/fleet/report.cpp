@@ -1,48 +1,30 @@
 #include "obs/fleet/report.hpp"
 
 #include <charconv>
-#include <cmath>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 #include "obs/live/anomaly.hpp"
+#include "obs/trace_json.hpp"
 
 namespace athena::obs::fleet {
 
 namespace {
 
-/// Shortest round-trip decimal form (std::to_chars): deterministic bytes
-/// for equal doubles — the property the byte-identity contract rests on.
-std::string FormatDouble(double v) {
-  if (!std::isfinite(v)) return "0";  // JSON has no inf/nan; reports never should
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, end);
-}
-
-void WriteString(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
+// Doubles render in the shortest round-trip form: equal doubles give
+// equal bytes, the property the byte-identity contract rests on.
+using jsonio::ShortestNumber;
+using jsonio::WriteString;
 
 void WriteMetric(std::ostream& os, const MetricReport& m) {
-  os << "{\"count\":" << m.count << ",\"mean\":" << FormatDouble(m.mean)
-     << ",\"min\":" << FormatDouble(m.min) << ",\"max\":" << FormatDouble(m.max)
+  os << "{\"count\":" << m.count << ",\"mean\":" << ShortestNumber(m.mean)
+     << ",\"min\":" << ShortestNumber(m.min) << ",\"max\":" << ShortestNumber(m.max)
      << ",\"quantiles\":[";
   for (std::size_t i = 0; i < m.quantiles.size(); ++i) {
     if (i != 0) os << ',';
-    os << FormatDouble(m.quantiles[i]);
+    os << ShortestNumber(m.quantiles[i]);
   }
   os << "]}";
 }
@@ -78,14 +60,14 @@ void WriteSlo(std::ostream& os, const SloReport& r) {
   WriteString(os, ToString(r.spec.metric));
   os << ",\"granularity\":"
      << (r.spec.granularity == Granularity::kSample ? "\"sample\"" : "\"session\"")
-     << ",\"threshold\":" << FormatDouble(r.spec.threshold)
-     << ",\"target\":" << FormatDouble(r.spec.target)
-     << ",\"window\":" << r.spec.window << ",\"good\":" << FormatDouble(r.good)
-     << ",\"total\":" << FormatDouble(r.total)
-     << ",\"compliance\":" << FormatDouble(r.compliance)
-     << ",\"window_compliance\":" << FormatDouble(r.window_compliance)
-     << ",\"budget_remaining\":" << FormatDouble(r.budget_remaining)
-     << ",\"burn_rate\":" << FormatDouble(r.burn_rate)
+     << ",\"threshold\":" << ShortestNumber(r.spec.threshold)
+     << ",\"target\":" << ShortestNumber(r.spec.target)
+     << ",\"window\":" << r.spec.window << ",\"good\":" << ShortestNumber(r.good)
+     << ",\"total\":" << ShortestNumber(r.total)
+     << ",\"compliance\":" << ShortestNumber(r.compliance)
+     << ",\"window_compliance\":" << ShortestNumber(r.window_compliance)
+     << ",\"budget_remaining\":" << ShortestNumber(r.budget_remaining)
+     << ",\"burn_rate\":" << ShortestNumber(r.burn_rate)
      << ",\"ok\":" << (r.ok ? "true" : "false") << "}";
 }
 
@@ -220,12 +202,27 @@ class JsonParser {
           case 'n': out += '\n'; break;
           case 't': out += '\t'; break;
           case 'r': out += '\r'; break;
+          case 'u': out += ParseAsciiEscape(); break;
           default: Fail("unsupported escape");
         }
       } else {
         out += c;
       }
     }
+  }
+
+  /// The four hex digits after `\u`: the shared escaper writes control
+  /// characters as `\u00XX` and every byte from 0x80 up raw, so a code
+  /// point past 0x7F never comes from WriteJson and is rejected.
+  char ParseAsciiEscape() {
+    if (text_.size() - pos_ < 4) Fail("truncated \\u escape");
+    unsigned code = 0;
+    const char* digits = text_.data() + pos_;
+    const auto [end, ec] = std::from_chars(digits, digits + 4, code, 16);
+    if (ec != std::errc{} || end != digits + 4) Fail("bad \\u escape");
+    if (code > 0x7F) Fail("unsupported non-ASCII \\u escape");
+    pos_ += 4;
+    return static_cast<char>(code);
   }
 
   Json ParseNumber() {
@@ -476,10 +473,9 @@ GateResult GateAgainstBaseline(const FleetReport& current,
     if (!stats::StochasticallyBelow(cur, ref, options.slack)) {
       std::ostringstream why;
       why << "metric " << name << ": candidate CDF regressed (p95 "
-          << FormatDouble(it->second.quantiles.empty() ? 0.0
-                                                       : cur.P(95.0))
-          << " vs baseline " << FormatDouble(ref.P(95.0)) << ", slack "
-          << FormatDouble(options.slack) << ")";
+          << ShortestNumber(it->second.quantiles.empty() ? 0.0 : cur.P(95.0))
+          << " vs baseline " << ShortestNumber(ref.P(95.0)) << ", slack "
+          << ShortestNumber(options.slack) << ")";
       fail(why.str());
     }
   }
@@ -499,8 +495,8 @@ GateResult GateAgainstBaseline(const FleetReport& current,
             : static_cast<double>(it->second) / static_cast<double>(current.fleet.sessions);
     if (cur_frac > base_frac + options.slack) {
       std::ostringstream why;
-      why << "prevalence " << slug << ": " << FormatDouble(cur_frac)
-          << " of sessions vs baseline " << FormatDouble(base_frac);
+      why << "prevalence " << slug << ": " << ShortestNumber(cur_frac)
+          << " of sessions vs baseline " << ShortestNumber(base_frac);
       fail(why.str());
     }
   }
@@ -509,9 +505,9 @@ GateResult GateAgainstBaseline(const FleetReport& current,
   for (const SloReport& slo : current.slos) {
     if (!slo.ok) {
       std::ostringstream why;
-      why << "slo " << slo.spec.name << ": compliance " << FormatDouble(slo.compliance)
-          << " below target " << FormatDouble(slo.spec.target) << " (budget remaining "
-          << FormatDouble(slo.budget_remaining) << ")";
+      why << "slo " << slo.spec.name << ": compliance " << ShortestNumber(slo.compliance)
+          << " below target " << ShortestNumber(slo.spec.target) << " (budget remaining "
+          << ShortestNumber(slo.budget_remaining) << ")";
       fail(why.str());
     }
   }

@@ -1,8 +1,8 @@
 #include "obs/live/anomaly.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <ostream>
+
+#include "obs/trace_json.hpp"
 
 namespace athena::obs::live {
 
@@ -32,125 +32,34 @@ const char* SlugFor(AnomalyKind kind) {
   return "unknown";
 }
 
-namespace {
-
-void WriteEscaped(std::ostream& os, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
-void WriteNumber(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {  // JSON has no Inf/NaN
-    os << 0;
-    return;
-  }
-  if (v == static_cast<double>(static_cast<std::int64_t>(v)) && std::abs(v) < 1e15) {
-    os << static_cast<std::int64_t>(v);
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    os << buf;
-  }
-}
-
-void WriteRecordJson(std::ostream& os, const EventLog::Record& r) {
-  switch (r.kind) {
-    case EventLog::Record::Kind::kAnomaly: WriteJson(os, r.anomaly); return;
-    case EventLog::Record::Kind::kSpan:
-      os << "{\"type\":\"span\",\"layer\":\"" << obs::ToString(r.layer) << "\",\"name\":\"";
-      WriteEscaped(os, r.name);
-      os << "\",\"t_us\":" << r.t.us() << ",\"duration_ms\":";
-      WriteNumber(os, r.value);
-      os << "}";
-      return;
-    case EventLog::Record::Kind::kMetric:
-      os << "{\"type\":\"metric\",\"name\":\"";
-      WriteEscaped(os, r.name);
-      os << "\",\"t_us\":" << r.t.us() << ",\"value\":";
-      WriteNumber(os, r.value);
-      os << "}";
-      return;
-  }
-}
-
-}  // namespace
-
 void WriteJson(std::ostream& os, const AnomalyEvent& e) {
   os << "{\"type\":\"anomaly\",\"kind\":\"" << SlugFor(e.kind) << "\",\"layer\":\""
      << obs::ToString(e.layer) << "\",\"window_begin_us\":" << e.window_begin.us()
-     << ",\"window_end_us\":" << e.window_end.us() << ",\"confidence\":";
-  WriteNumber(os, e.confidence);
-  os << ",\"detector\":\"";
-  WriteEscaped(os, e.detector);
-  os << "\",\"message\":\"";
-  WriteEscaped(os, e.message);
-  os << "\",\"evidence\":{";
+     << ",\"window_end_us\":" << e.window_end.us()
+     << ",\"confidence\":" << jsonio::Number{e.confidence} << ",\"detector\":";
+  jsonio::WriteString(os, e.detector);
+  os << ",\"message\":";
+  jsonio::WriteString(os, e.message);
+  os << ",\"evidence\":{";
   for (std::size_t i = 0; i < e.evidence_count; ++i) {
     if (i > 0) os << ",";
-    os << "\"";
-    WriteEscaped(os, e.evidence[i].key);
-    os << "\":";
-    WriteNumber(os, e.evidence[i].value);
+    jsonio::WriteString(os, e.evidence[i].key);
+    os << ":" << jsonio::Number{e.evidence[i].value};
   }
   os << "}}";
 }
 
 EventLog::EventLog(std::size_t capacity) : ring_(capacity == 0 ? 1 : capacity) {}
 
-void EventLog::Push(Record record) {
-  if (jsonl_ != nullptr) {
-    WriteRecordJson(*jsonl_, record);
-    *jsonl_ << '\n';
-  }
-  ring_[head_] = std::move(record);
+void EventLog::PushAnomaly(const AnomalyEvent& event) {
+  ring_[head_] = event;
   head_ = (head_ + 1) % ring_.size();
   if (size_ < ring_.size()) ++size_;
   ++pushed_;
 }
 
-void EventLog::PushAnomaly(const AnomalyEvent& event) {
-  Record r;
-  r.kind = Record::Kind::kAnomaly;
-  r.t = event.window_end;
-  r.anomaly = event;
-  Push(std::move(r));
-}
-
-void EventLog::PushSpan(Layer layer, std::string_view name, sim::TimePoint end,
-                        double duration_ms) {
-  Record r;
-  r.kind = Record::Kind::kSpan;
-  r.t = end;
-  r.layer = layer;
-  r.name = name;
-  r.value = duration_ms;
-  Push(std::move(r));
-}
-
-void EventLog::PushMetric(std::string_view name, sim::TimePoint t, double value) {
-  Record r;
-  r.kind = Record::Kind::kMetric;
-  r.t = t;
-  r.name = name;
-  r.value = value;
-  Push(std::move(r));
-}
-
-std::vector<const EventLog::Record*> EventLog::Ordered() const {
-  std::vector<const Record*> out;
+std::vector<const AnomalyEvent*> EventLog::Ordered() const {
+  std::vector<const AnomalyEvent*> out;
   out.reserve(size_);
   const std::size_t start = (head_ + ring_.size() - size_) % ring_.size();
   for (std::size_t i = 0; i < size_; ++i) {
@@ -160,8 +69,8 @@ std::vector<const EventLog::Record*> EventLog::Ordered() const {
 }
 
 void EventLog::WriteJsonl(std::ostream& os) const {
-  for (const Record* r : Ordered()) {
-    WriteRecordJson(os, *r);
+  for (const AnomalyEvent* e : Ordered()) {
+    WriteJson(os, *e);
     os << '\n';
   }
 }

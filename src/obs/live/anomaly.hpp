@@ -1,6 +1,6 @@
 // The output schema of the live diagnosis engine (obs/live/): typed
-// anomaly verdicts with layer attribution, and a bounded structured
-// event log that unifies them with the span/metric streams.
+// anomaly verdicts with layer attribution, and the bounded event log
+// that keeps the most recent of them.
 //
 // An `AnomalyEvent` is one *verdict*: "between window_begin and
 // window_end, the evidence says artifact X happened at layer Y, with
@@ -63,36 +63,19 @@ struct AnomalyEvent {
 /// without the trailing newline).
 void WriteJson(std::ostream& os, const AnomalyEvent& event);
 
-/// Bounded structured event log: a ring buffer of the most recent
-/// records plus an optional append-only JSONL sink. Anomalies, trace
-/// spans and metric samples share one record shape so a session's
-/// "what happened" stream is a single ordered log.
+/// Bounded event log: a ring buffer of the most recent anomaly verdicts,
+/// the session's "what happened" stream (athena_cli --anomalies writes
+/// it as JSONL).
 class EventLog {
  public:
-  struct Record {
-    enum class Kind : std::uint8_t { kAnomaly, kSpan, kMetric };
-    Kind kind = Kind::kAnomaly;
-    sim::TimePoint t;            ///< anomaly: window_end; span: end; metric: sample time
-    AnomalyEvent anomaly;        ///< kAnomaly only
-    Layer layer = Layer::kOther; ///< kSpan/kMetric
-    std::string name;            ///< kSpan/kMetric
-    double value = 0.0;          ///< span: duration ms; metric: sample value
-  };
-
-  /// `capacity` bounds the in-memory ring; the oldest records are
-  /// overwritten once it fills (dropped_count() tracks how many).
+  /// `capacity` bounds the ring; the oldest anomalies are overwritten
+  /// once it fills (dropped_count() tracks how many).
   explicit EventLog(std::size_t capacity = 1024);
 
   void PushAnomaly(const AnomalyEvent& event);
-  void PushSpan(Layer layer, std::string_view name, sim::TimePoint end, double duration_ms);
-  void PushMetric(std::string_view name, sim::TimePoint t, double value);
 
-  /// Streams every record to `os` as JSONL the moment it is pushed
-  /// (null disables). The ring keeps buffering regardless.
-  void set_jsonl_sink(std::ostream* os) { jsonl_ = os; }
-
-  /// Records currently buffered, oldest first.
-  [[nodiscard]] std::vector<const Record*> Ordered() const;
+  /// Anomalies currently buffered, oldest first.
+  [[nodiscard]] std::vector<const AnomalyEvent*> Ordered() const;
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
@@ -101,17 +84,14 @@ class EventLog {
     return pushed_ - static_cast<std::uint64_t>(size_);
   }
 
-  /// All buffered records as JSONL, oldest first.
+  /// All buffered anomalies as JSONL, oldest first.
   void WriteJsonl(std::ostream& os) const;
 
  private:
-  void Push(Record record);
-
-  std::vector<Record> ring_;
+  std::vector<AnomalyEvent> ring_;
   std::size_t head_ = 0;  ///< next write position
   std::size_t size_ = 0;
   std::uint64_t pushed_ = 0;
-  std::ostream* jsonl_ = nullptr;
 };
 
 }  // namespace athena::obs::live

@@ -3,7 +3,7 @@
 namespace athena::obs::live {
 
 LiveEngine::LiveEngine(Options options)
-    : options_(options), bank_(options.detectors), log_(options.log_capacity) {
+    : bank_(options.detectors), log_(options.log_capacity) {
   bank_.set_on_anomaly([this](const AnomalyEvent& e) {
     log_.PushAnomaly(e);
     if (anomaly_listener_) anomaly_listener_(e);
@@ -111,10 +111,6 @@ void LiveEngine::OnSpan(const TraceEvent& begin, const TraceEvent& end) {
   } else if (begin.layer == Layer::kCore && begin.name == names::kPktUplink.id) {
     const auto cause = static_cast<std::size_t>(begin.Arg("cause"));
     if (cause < core_causes_.size()) ++core_causes_[cause];
-  }
-
-  if (options_.log_span_every > 0 && ++span_counter_ % options_.log_span_every == 0) {
-    log_.PushSpan(begin.layer, begin.name_text(), end.ts, sim::ToMs(end.ts - begin.ts));
   }
 }
 

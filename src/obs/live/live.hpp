@@ -24,10 +24,6 @@ class LiveEngine final : public TraceSink {
   struct Options {
     DetectorConfig detectors{};
     std::size_t log_capacity = 1024;
-    /// Also mirror decoded spans/counters into the event log (sampled:
-    /// every Nth; 0 = anomalies only, the default — spans are already in
-    /// the trace).
-    std::uint64_t log_span_every = 0;
   };
 
   LiveEngine() : LiveEngine(Options{}) {}
@@ -64,7 +60,6 @@ class LiveEngine final : public TraceSink {
  private:
   void OnSpan(const TraceEvent& begin, const TraceEvent& end);
 
-  Options options_;
   DetectorBank bank_;
   EventLog log_;
   std::function<void(const AnomalyEvent&)> anomaly_listener_;
@@ -79,7 +74,6 @@ class LiveEngine final : public TraceSink {
   std::uint64_t frames_late_ = 0;
   std::uint64_t overuse_events_ = 0;
   std::uint64_t link_drops_ = 0;
-  std::uint64_t span_counter_ = 0;
   std::array<std::uint64_t, 8> core_causes_{};
 };
 

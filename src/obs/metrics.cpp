@@ -90,41 +90,4 @@ void MetricsRegistry::WriteCsv(std::ostream& os) const {
   }
 }
 
-void MetricsRegistry::WriteJson(std::ostream& os) const {
-  os << "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : counters_) {
-    os << (first ? "\n" : ",\n") << "    \"" << name << "\": " << value;
-    first = false;
-  }
-  os << "\n  },\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : gauges_) {
-    os << (first ? "\n" : ",\n") << "    \"" << name << "\": " << value;
-    first = false;
-  }
-  os << "\n  },\n  \"stats\": {";
-  first = true;
-  for (const auto& [name, st] : stats_) {
-    os << (first ? "\n" : ",\n") << "    \"" << name << "\": {\"count\": " << st.count()
-       << ", \"mean\": " << st.mean() << ", \"stddev\": " << st.stddev()
-       << ", \"min\": " << st.min() << ", \"max\": " << st.max() << "}";
-    first = false;
-  }
-  os << "\n  },\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    os << (first ? "\n" : ",\n") << "    \"" << name << "\": {\"count\": " << h.count()
-       << ", \"underflow\": " << h.underflow() << ", \"overflow\": " << h.overflow()
-       << ", \"bins\": [";
-    for (std::size_t i = 0; i < h.bin_count(); ++i) {
-      if (i > 0) os << ",";
-      os << h.bin(i);
-    }
-    os << "]}";
-    first = false;
-  }
-  os << "\n  },\n  \"snapshot_rows\": " << samples_.size() << "\n}\n";
-}
-
 }  // namespace athena::obs

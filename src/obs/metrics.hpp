@@ -1,7 +1,8 @@
 // The metrics half of the observability subsystem: a registry of named
 // counters, gauges, streaming stats (Welford) and histograms that
 // components publish into, snapshotted on a periodic virtual-time grid
-// and exportable to CSV (long form: one row per sample) and JSON.
+// and exportable to CSV (long form: one row per sample) and Prometheus
+// text (obs/prom_text.hpp).
 //
 // Like tracing (obs/trace.hpp), metrics are off by default: a per-thread
 // registry pointer, null unless a tool installs one, and inline helpers
@@ -47,8 +48,8 @@ class MetricsRegistry {
   [[nodiscard]] std::uint64_t CounterValue(std::string_view name) const;
   [[nodiscard]] double GaugeValue(std::string_view name) const;
 
-  // Read-only iteration over everything registered (exporters: CSV/JSON
-  // writers below, Prometheus text exposition in obs/live/exposition.hpp).
+  // Read-only iteration over everything registered (exporters: the CSV
+  // writer below, the Prometheus exposition in obs/prom_text.hpp).
   [[nodiscard]] const std::map<std::string, std::uint64_t, std::less<>>& counters() const {
     return counters_;
   }
@@ -72,10 +73,6 @@ class MetricsRegistry {
 
   /// Long-form CSV of all snapshots: `t_us,t_ms,metric,value`.
   void WriteCsv(std::ostream& os) const;
-
-  /// Final values of everything (counters, gauges, stats summaries,
-  /// histogram bins) as one JSON object.
-  void WriteJson(std::ostream& os) const;
 
   [[nodiscard]] std::size_t sample_count() const { return samples_.size(); }
 

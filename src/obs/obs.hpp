@@ -76,10 +76,6 @@ class ObsSession {
     /// both consume the same emit points through a TraceFanout.
     bool live = false;
     live::LiveEngine::Options live_options{};
-    /// Hard byte budget for the trace recorder (0 = unbounded). Under
-    /// the budget, low-priority events are shed and critical events
-    /// evict the oldest chunk; see TraceRecorder.
-    std::size_t trace_byte_budget = 0;
     /// An additional sink fanned out alongside the recorder/live engine
     /// — how a run joins the telemetry ingest pipeline (pass
     /// pipeline::TelemetryPipeline::CurrentThreadSink()). Null is fine.
@@ -96,7 +92,6 @@ class ObsSession {
         metrics_scope_(options.metrics ? &registry_ : nullptr) {
     sim.AddHooks(&bridge_);
     if (options.profile_sim) sim.set_profiling(true);
-    if (options.trace_byte_budget > 0) recorder_.set_byte_budget(options.trace_byte_budget);
     if (options.metrics && options.metrics_period.count() > 0) {
       registry_.StartSampling(sim, options.metrics_period);
     }
@@ -114,19 +109,6 @@ class ObsSession {
   [[nodiscard]] TraceRecorder& recorder() { return recorder_; }
   [[nodiscard]] MetricsRegistry& registry() { return registry_; }
 
-  /// Reports the recorder's cumulative shed ledger: publishes the
-  /// `trace.shed_*` gauges and emits an `overload.shed` trace instant so
-  /// the live overload detector (if running) sees recorder-level
-  /// shedding. No-op while nothing has been shed.
-  void ReportTraceShedding(sim::TimePoint t) {
-    const auto shed = recorder_.shed_low_priority();
-    const auto evicted = recorder_.chunks_evicted();
-    if (shed == 0 && evicted == 0) return;
-    SetGauge("trace.shed_low_priority", static_cast<double>(shed));
-    SetGauge("trace.chunks_evicted", static_cast<double>(evicted));
-    TraceInstant(Layer::kOther, names::kOverloadShed, t,
-                 {{"total", static_cast<double>(shed + evicted)}, {"capped", 0.0}});
-  }
   /// Null unless Options::live was set.
   [[nodiscard]] live::LiveEngine* live() { return live_.get(); }
   [[nodiscard]] const live::LiveEngine* live() const { return live_.get(); }

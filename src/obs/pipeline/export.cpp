@@ -3,82 +3,12 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
-#include <utility>
 #include <vector>
 
 #include "obs/pipeline/columnar.hpp"
-#include "obs/prom_text.hpp"
 #include "obs/trace_json.hpp"
 
 namespace athena::obs::pipeline {
-namespace {
-
-/// Shard assignment on the *family* name (prefix + sanitized metric), so
-/// a family's `_count`/`_sum`/quantile series never split across shards.
-bool OnShard(const std::string& family, const ShardedExpositionOptions& options) {
-  if (options.shard_count <= 1) return true;
-  return prom::NameShard(family) % options.shard_count == options.shard;
-}
-
-void WriteGauge(std::ostream& os, const std::string& name, double value,
-                const char* help) {
-  prom::WriteHeader(os, name, "gauge", help);
-  os << name << ' ';
-  prom::WriteValue(os, value);
-  os << '\n';
-}
-
-}  // namespace
-
-void WritePrometheusShard(std::ostream& os, const TimeBucketRollup& rollup,
-                          const MetricsRegistry* registry,
-                          ShardedExpositionOptions options) {
-  os << "# Athena sharded exposition (Prometheus text format 0.0.4), shard "
-     << options.shard << '/' << options.shard_count << "\n";
-
-  if (registry != nullptr) {
-    for (const auto& [name, value] : registry->counters()) {
-      const std::string full = prom::SanitizeMetricName(options.prefix + name);
-      if (!OnShard(full, options)) continue;
-      prom::WriteHeader(os, full, "counter", "Athena counter");
-      os << full << ' ' << value << '\n';
-    }
-    for (const auto& [name, value] : registry->gauges()) {
-      const std::string full = prom::SanitizeMetricName(options.prefix + name);
-      if (!OnShard(full, options)) continue;
-      WriteGauge(os, full, value, "Athena gauge");
-    }
-  }
-
-  for (const auto& [key, series] : rollup.series()) {
-    const std::string family = prom::SanitizeMetricName(
-        options.prefix + "rollup_" +
-        TraceNameRegistry::Instance().NameOf(key.name));
-    if (!OnShard(family, options)) continue;
-    RollupBucket total;
-    for (const RollupBucket& b : series.buckets) total.Merge(b);
-    const std::string labels = std::string{"{layer=\""} + ToString(key.layer) + "\"}";
-    prom::WriteHeader(os, family, "summary", "Athena rollup series");
-    os << family << "_count" << labels << ' ' << total.count << '\n';
-    os << family << "_sum" << labels << ' ';
-    prom::WriteValue(os, total.sum);
-    os << '\n';
-    for (const auto& [q, v] :
-         {std::pair<const char*, double>{"0.5", total.sketch.Quantile(0.5)},
-          {"0.99", total.sketch.Quantile(0.99)}}) {
-      os << family << "{layer=\"" << ToString(key.layer) << "\",quantile=\"" << q
-         << "\"} ";
-      prom::WriteValue(os, v);
-      os << '\n';
-    }
-    os << family << "_min" << labels << ' ';
-    prom::WriteValue(os, total.min);
-    os << '\n';
-    os << family << "_max" << labels << ' ';
-    prom::WriteValue(os, total.max);
-    os << '\n';
-  }
-}
 
 std::uint64_t WriteChunkedPerfetto(std::istream& in, std::ostream& os) {
   ColumnarReader reader{in};

@@ -11,9 +11,10 @@
 //
 // Backpressure is explicit, never blocking: when a ring is full the
 // producer sheds the event and counts it (split by CriticalTraceEvent
-// priority, mirroring the resilience/ shed tiers) rather than stalling
-// the simulation. Lossy-but-accounted is the fleet contract — the same
-// one obs::TraceRecorder's byte budget implements downstream.
+// priority — tier 1 of the shed tiers, ahead of the resilience/
+// governor's) rather than stalling the simulation. Lossy-but-accounted
+// is the fleet contract, and this ring is the one place that sheds
+// trace events: every sink downstream keeps what it is handed.
 #pragma once
 
 #include <algorithm>

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <ostream>
 
+#include "obs/trace_json.hpp"
 #include "sim/check.hpp"
 
 namespace athena::obs::pipeline {
@@ -265,9 +266,10 @@ void TimeBucketRollup::WriteJson(std::ostream& os) const {
   for (const auto& [key, s] : series_) {
     if (!first_series) os << ",\n";
     first_series = false;
-    os << "    \"" << ToString(key.layer) << '/'
-       << TraceNameRegistry::Instance().NameOf(key.name)
-       << "\": {\"width_us\":" << s.width.count() << ",\"buckets\":[";
+    os << "    ";
+    jsonio::WriteString(os, std::string{ToString(key.layer)} + '/' +
+                                TraceNameRegistry::Instance().NameOf(key.name));
+    os << ": {\"width_us\":" << s.width.count() << ",\"buckets\":[";
     bool first = true;
     for (std::size_t i = 0; i < s.buckets.size(); ++i) {
       if (s.buckets[i].count == 0) continue;  // sparse series stay sparse

@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
@@ -41,7 +42,8 @@ const char* TrackTitle(Layer layer) {
   return "?";
 }
 
-void WriteEscaped(std::ostream& os, std::string_view s) {
+void WriteString(std::ostream& os, std::string_view s) {
+  os << '"';
   for (const char c : s) {
     switch (c) {
       case '"': os << "\\\""; break;
@@ -58,29 +60,34 @@ void WriteEscaped(std::ostream& os, std::string_view s) {
         }
     }
   }
+  os << '"';
 }
 
-void WriteNumber(std::ostream& os, double v) {
+std::ostream& operator<<(std::ostream& os, Number n) {
+  const double v = n.v;
   // JSON has no NaN/Inf; clamp to null-ish zero rather than emit garbage.
-  if (!std::isfinite(v)) {
-    os << 0;
-    return;
-  }
+  if (!std::isfinite(v)) return os << 0;
   if (v == static_cast<double>(static_cast<std::int64_t>(v)) && std::abs(v) < 1e15) {
-    os << static_cast<std::int64_t>(v);
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    os << buf;
+    return os << static_cast<std::int64_t>(v);
   }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.6g", v);
+  return os << buf;
+}
+
+std::string ShortestNumber(double v) {
+  if (!std::isfinite(v)) return "0";
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, end);
 }
 
 /// One Chrome trace-event JSON object (no surrounding comma/newline).
 void WriteEventJson(std::ostream& os, const TraceEvent& e, const std::string& name) {
   const auto tid = static_cast<std::size_t>(e.layer) + 1;
-  os << "{\"name\":\"";
-  WriteEscaped(os, name);
-  os << "\",\"cat\":\"" << ToString(e.layer) << "\",\"ph\":\""
+  os << "{\"name\":";
+  WriteString(os, name);
+  os << ",\"cat\":\"" << ToString(e.layer) << "\",\"ph\":\""
      << static_cast<char>(e.phase) << "\",\"pid\":1,\"tid\":" << tid
      << ",\"ts\":" << e.ts.us();
   switch (e.phase) {
@@ -101,10 +108,8 @@ void WriteEventJson(std::ostream& os, const TraceEvent& e, const std::string& na
     os << ",\"args\":{";
     for (std::size_t i = 0; i < e.arg_count; ++i) {
       if (i > 0) os << ",";
-      os << "\"";
-      WriteEscaped(os, e.args[i].key);
-      os << "\":";
-      WriteNumber(os, e.args[i].value);
+      WriteString(os, e.args[i].key);
+      os << ":" << Number{e.args[i].value};
     }
     os << "}";
   }
@@ -118,9 +123,9 @@ void WriteTraceHeader(std::ostream& os, const bool layer_used[kLayerCount]) {
   for (std::size_t i = 0; i < kLayerCount; ++i) {
     if (!layer_used[i]) continue;
     os << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << i + 1
-       << ",\"args\":{\"name\":\"";
-    WriteEscaped(os, TrackTitle(static_cast<Layer>(i)));
-    os << "\"}}";
+       << ",\"args\":{\"name\":";
+    WriteString(os, TrackTitle(static_cast<Layer>(i)));
+    os << "}}";
   }
 }
 

@@ -115,12 +115,12 @@ class TraceSink {
     for (std::size_t i = 0; i < count; ++i) Emit(events[i]);
   }
 
-  /// Bump-pointer fast path: sinks with contiguous slot storage (an
-  /// unbudgeted TraceRecorder's chunk tail, TraceBatcher's and the ring
-  /// sink's inline buffers) arm a reservation window over it, and the
-  /// emit helpers then construct events *in place* — no stack copy, no
+  /// Bump-pointer fast path: sinks with contiguous slot storage (the
+  /// TraceRecorder's chunk tail, TraceBatcher's and the ring sink's
+  /// inline buffers) arm a reservation window over it, and the emit
+  /// helpers then construct events *in place* — no stack copy, no
   /// virtual call — until the window is exhausted. Returns null when no
-  /// window is armed (fanout, budgeted recorder, consumer-side sinks);
+  /// window is armed (fanout, consumer-side sinks);
   /// callers fall back to the virtual Emit. This is where the sub-82 ns
   /// batched emit cost comes from: one virtual call per window, one
   /// 128-byte store per event.
@@ -260,10 +260,10 @@ inline void TraceCounter(Layer layer, TraceName name, sim::TimePoint t,
 
 /// True for events the live diagnosis engine decodes (TB telemetry,
 /// RAN transits, HARQ chains, jitter-buffer verdicts, correlator
-/// verdicts, overload reports, …). Under a TraceRecorder byte budget
-/// these are the events that must survive shedding: dropping them
-/// blinds the detectors, while dropping anything else only thins the
-/// Perfetto timeline.
+/// verdicts, overload reports, …). When the ingest pipeline's ring is
+/// full (obs/pipeline/ring.hpp) these are the events it retries rather
+/// than sheds: dropping them blinds the detectors, while dropping
+/// anything else only thins the Perfetto timeline.
 [[nodiscard]] inline bool CriticalTraceEvent(const TraceEvent& e) {
   return e.name == names::kTbTx.id || e.name == names::kTbRtx.id ||
          e.name == names::kRanTransit.id || e.name == names::kHarqChain.id ||
@@ -277,34 +277,11 @@ inline void TraceCounter(Layer layer, TraceName name, sim::TimePoint t,
 /// JSON (`{"traceEvents": [...]}`), with one named track per Layer.
 /// Storage is chunked: appending never copies already-buffered events,
 /// so emit cost stays flat no matter how large the trace grows.
-///
-/// An optional hard byte budget (set_byte_budget) bounds the buffer at
-/// chunk granularity. Once the budget is reached, low-priority events
-/// (everything CriticalTraceEvent rejects) are shed on arrival; critical
-/// events evict the oldest chunk instead, so the detectors' evidence
-/// stream keeps flowing with bounded memory. Both actions are counted
-/// (shed_low_priority / chunks_evicted) — degradation is never silent.
 class TraceRecorder final : public TraceSink {
  public:
   void Emit(const TraceEvent& event) override {
     SyncReserved();
-    if (max_chunks_ > 0 && saturated_ && !CriticalTraceEvent(event)) {
-      ++shed_low_priority_;
-      return;
-    }
-    if (chunk_pos_ == kChunkSize) {
-      if (max_chunks_ > 0 && chunks_.size() >= max_chunks_) {
-        saturated_ = true;
-        if (!CriticalTraceEvent(event)) {
-          ++shed_low_priority_;
-          return;
-        }
-        chunks_.erase(chunks_.begin());  // moves chunk *pointers*, not events
-        size_ -= kChunkSize;
-        ++chunks_evicted_;
-      }
-      NewChunk();
-    }
+    if (chunk_pos_ == kChunkSize) NewChunk();
     chunks_.back()[chunk_pos_++] = event;
     ++size_;
     RearmWindow();
@@ -317,39 +294,11 @@ class TraceRecorder final : public TraceSink {
     chunks_.clear();
     chunk_pos_ = kChunkSize;
     size_ = 0;
-    saturated_ = false;
   }
 
-  /// Caps buffered storage to ~`bytes` (rounded down to whole chunks,
-  /// minimum one chunk). 0 restores the unbounded default. A budget
-  /// disables the reservation fast path: shed/evict decisions are
-  /// per-event, so every event must go through the virtual Emit.
-  void set_byte_budget(std::size_t bytes) {
-    SyncReserved();
-    if (bytes == 0) {
-      max_chunks_ = 0;
-      saturated_ = false;
-      return;
-    }
-    max_chunks_ = bytes / (kChunkSize * sizeof(TraceEvent));
-    if (max_chunks_ == 0) max_chunks_ = 1;
-  }
-  [[nodiscard]] std::size_t byte_budget() const {
-    return max_chunks_ * kChunkSize * sizeof(TraceEvent);
-  }
-  [[nodiscard]] std::size_t buffered_bytes() const {
-    return size() * sizeof(TraceEvent);
-  }
-
-  /// Bulk append: a straight chunk-tail memcpy while no byte budget is
-  /// in force (the common case), falling back to the per-event path —
-  /// with its shed/evict bookkeeping — once a budget applies.
+  /// Bulk append: a straight chunk-tail memcpy.
   void EmitBatch(const TraceEvent* events, std::size_t count) override {
     SyncReserved();
-    if (max_chunks_ > 0) {
-      for (std::size_t i = 0; i < count; ++i) Emit(events[i]);
-      return;
-    }
     while (count > 0) {
       if (chunk_pos_ == kChunkSize) NewChunk();
       const std::size_t room = kChunkSize - chunk_pos_;
@@ -363,11 +312,6 @@ class TraceRecorder final : public TraceSink {
     }
     RearmWindow();
   }
-
-  /// Low-priority events dropped on arrival under the budget.
-  [[nodiscard]] std::uint64_t shed_low_priority() const { return shed_low_priority_; }
-  /// Oldest-chunk evictions performed to admit critical events.
-  [[nodiscard]] std::uint64_t chunks_evicted() const { return chunks_evicted_; }
 
   /// Visits every buffered event in emit order (reserved-but-unsynced
   /// slots included — the window always covers the last chunk's tail).
@@ -425,10 +369,9 @@ class TraceRecorder final : public TraceSink {
     DisarmReserveWindow();
   }
 
-  /// Re-arms the window over the current chunk's free tail (unbudgeted
-  /// recorders only — a budget needs per-event shed decisions).
+  /// Re-arms the window over the current chunk's free tail.
   void RearmWindow() {
-    if (max_chunks_ > 0 || chunks_.empty() || chunk_pos_ >= kChunkSize) return;
+    if (chunks_.empty() || chunk_pos_ >= kChunkSize) return;
     TraceEvent* base = chunks_.back().data.get() + chunk_pos_;
     window_base_ = base;
     ArmReserveWindow(base, chunks_.back().data.get() + kChunkSize);
@@ -437,11 +380,7 @@ class TraceRecorder final : public TraceSink {
   std::vector<ChunkHolder> chunks_;
   std::size_t chunk_pos_ = kChunkSize;  // forces a chunk on first Emit
   std::size_t size_ = 0;
-  std::size_t max_chunks_ = 0;  // 0 = unbounded
-  bool saturated_ = false;      // budget reached at least once
   TraceEvent* window_base_ = nullptr;  // reservation window start, or null
-  std::uint64_t shed_low_priority_ = 0;
-  std::uint64_t chunks_evicted_ = 0;
 };
 
 /// Forwards every event to a small list of sinks, so independent

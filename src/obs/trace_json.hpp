@@ -1,7 +1,9 @@
-// Chrome trace-event JSON primitives, shared by the in-memory recorder
-// (TraceRecorder::WriteJson) and the chunked Perfetto emitter that
-// streams from columnar blocks (obs/pipeline/export.hpp). Internal to
-// the obs subsystem — tools should use those two entry points.
+// The one JSON encoder: every JSON file Athena writes — the Chrome trace
+// (TraceRecorder::WriteJson and the chunked Perfetto emitter in
+// obs/pipeline/export.hpp), the anomaly JSONL (obs/live/anomaly.hpp), the
+// rollup JSON, the FleetReport (obs/fleet/report.hpp) and the chaos
+// matrix JSON (fault/chaos.hpp) — escapes strings and formats numbers
+// here, so no writer can emit a control character raw or a NaN token.
 #pragma once
 
 #include <iosfwd>
@@ -13,10 +15,22 @@
 
 namespace athena::obs::jsonio {
 
-void WriteEscaped(std::ostream& os, std::string_view s);
+/// `s` as a JSON string literal: `"` and `\` are escaped, newline and
+/// tab become `\n` / `\t`, every other control character `\u00XX`.
+void WriteString(std::ostream& os, std::string_view s);
 
-/// JSON-safe number: non-finite clamps to 0, integers render exactly.
-void WriteNumber(std::ostream& os, double v);
+/// `os << Number{v}` writes a compact JSON number: integers exactly,
+/// other values with six significant digits (`%.6g`); non-finite values
+/// clamp to 0.
+struct Number {
+  double v;
+};
+std::ostream& operator<<(std::ostream& os, Number n);
+
+/// Shortest decimal text that parses back to exactly `v` (std::to_chars):
+/// equal doubles give equal bytes, the property the FleetReport's
+/// byte-identity contract rests on. Non-finite values render as 0.
+[[nodiscard]] std::string ShortestNumber(double v);
 
 /// One trace-event object for `e` (no surrounding comma/newline); `name`
 /// is the resolved text of `e.name`.

@@ -117,7 +117,7 @@ struct RunPlan {
   /// Virtual-time checkpoint cadence; 0 disables periodic snapshots.
   sim::Duration checkpoint_every{0};
 
-  /// Byte budgets for the overload governor; default = unbounded.
+  /// Byte budget for the overload governor; default = unbounded.
   MemoryBudget budget;
 
   /// Invoked (on the driving thread) each time a checkpoint is taken —

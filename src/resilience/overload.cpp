@@ -13,8 +13,6 @@ void ShedStats::PublishMetrics() const {
   obs::SetGauge("resilience.shed.padding_tb", static_cast<double>(padding_tb_shed));
   obs::SetGauge("resilience.shed.telemetry_capped", static_cast<double>(telemetry_capped));
   obs::SetGauge("resilience.shed.capture_capped", static_cast<double>(capture_capped));
-  obs::SetGauge("resilience.shed.trace", static_cast<double>(trace_shed));
-  obs::SetGauge("resilience.shed.trace_evicted", static_cast<double>(trace_evicted));
   obs::SetGauge("resilience.shed.total", static_cast<double>(total()));
 }
 

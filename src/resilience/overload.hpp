@@ -3,10 +3,12 @@
 //
 // A continuous diagnosis service cannot let a telemetry flood grow its
 // buffers without bound — but it also must not shed the records that
-// correlation is built on. The governor's priority order, lowest first:
+// correlation is built on. Tier 1 sits upstream of the governor: the
+// ingest pipeline's ring (obs/pipeline/ring.hpp) sheds low-priority trace
+// events (anything CriticalTraceEvent rejects) when it fills, and counts
+// them in its own ledger. The governor bounds the correlator input, in
+// priority order, lowest first:
 //
-//   1. low-priority trace events (anything the live decoder ignores;
-//      enforced inside obs::TraceRecorder via its byte budget),
 //   2. ICMP probe records in the capture logs (clock-sync refinement,
 //      not packet evidence),
 //   3. padding-only TBs (used_bytes == 0 — they drain no packet bytes,
@@ -28,19 +30,13 @@
 
 namespace athena::resilience {
 
-/// Byte budgets; 0 = unbounded (the default — overload control is
+/// Byte budget; 0 = unbounded (the default — overload control is
 /// strictly opt-in and costs nothing when disabled).
 struct MemoryBudget {
-  /// obs::TraceRecorder chunk storage (enforced via set_byte_budget).
-  std::size_t trace_bytes = 0;
   /// Correlator input streams: telemetry + the three capture logs.
   std::size_t input_bytes = 0;
-  /// Live EventLog ring, in records (maps to LiveEngine log_capacity).
-  std::size_t event_log_records = 0;
 
-  [[nodiscard]] bool any() const {
-    return trace_bytes > 0 || input_bytes > 0 || event_log_records > 0;
-  }
+  [[nodiscard]] bool any() const { return input_bytes > 0; }
 };
 
 /// The governor's ledger: what was shed, why, from where.
@@ -49,12 +45,9 @@ struct ShedStats {
   std::uint64_t padding_tb_shed = 0;       ///< padding-only TBs dropped (priority 3)
   std::uint64_t telemetry_capped = 0;      ///< data TBs dropped by the hard cap
   std::uint64_t capture_capped = 0;        ///< capture records dropped by the hard cap
-  std::uint64_t trace_shed = 0;            ///< low-priority trace events (recorder)
-  std::uint64_t trace_evicted = 0;         ///< recorder chunk evictions (high-prio overflow)
 
   [[nodiscard]] std::uint64_t total() const {
-    return icmp_shed + padding_tb_shed + telemetry_capped + capture_capped +
-           trace_shed + trace_evicted;
+    return icmp_shed + padding_tb_shed + telemetry_capped + capture_capped;
   }
   /// The last-resort tier: nonzero means the budget was too small for
   /// even the high-priority load.

@@ -211,17 +211,20 @@ TEST(SloEngineTest, SampleGranularityJudgesEverySample) {
 // --- report round-trip + gate ---
 
 TEST(FleetReportTest, JsonRoundTripIsByteStable) {
+  // A control character in a name must survive the escaper and parser.
+  const std::string odd = "ctl\x01" "name\ttab";
   FleetAggregator aggregator;
   for (std::uint64_t i = 0; i < 6; ++i) {
-    aggregator.Fold(MakeSummary(i % 2 == 0 ? "a" : "b", i, 4.0 + double(i), 0.02));
+    aggregator.Fold(MakeSummary(i % 2 == 0 ? "a" : odd, i, 4.0 + double(i), 0.02));
   }
   SloEngine engine;
   for (std::uint64_t i = 0; i < 6; ++i) {
-    engine.Observe(MakeSummary(i % 2 == 0 ? "a" : "b", i, 4.0 + double(i), 0.02));
+    engine.Observe(MakeSummary(i % 2 == 0 ? "a" : odd, i, 4.0 + double(i), 0.02));
   }
 
   std::ostringstream first;
   WriteJson(BuildReport(aggregator, engine), first);
+  EXPECT_NE(first.str().find(R"("ctl\u0001name\ttab")"), std::string::npos);
 
   std::istringstream in{first.str()};
   const FleetReport parsed = ParseReport(in);
@@ -230,6 +233,7 @@ TEST(FleetReportTest, JsonRoundTripIsByteStable) {
   EXPECT_EQ(first.str(), second.str());
   EXPECT_EQ(parsed.sessions, 6u);
   EXPECT_EQ(parsed.scenarios.size(), 2u);
+  EXPECT_EQ(parsed.scenarios.count(odd), 1u);
   ASSERT_FALSE(parsed.slos.empty());
 }
 
@@ -238,6 +242,24 @@ TEST(FleetReportTest, ParseRejectsMalformedJson) {
   EXPECT_THROW((void)ParseReport(truncated), std::runtime_error);
   std::istringstream missing{R"({"sessions": 3})"};
   EXPECT_THROW((void)ParseReport(missing), std::runtime_error);
+
+  // \u escapes are bounds-checked: truncated, non-hex and non-ASCII
+  // escapes are rejected as such.
+  const auto error_of = [](const std::string& text) -> std::string {
+    std::istringstream in{text};
+    try {
+      (void)ParseReport(in);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "parsed";
+  };
+  EXPECT_NE(error_of(R"({"sessions": 3, "fleet": {"x\u00)").find("truncated \\u"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"sessions": 3, "fleet": {"x\u00zz": 1}})").find("bad \\u"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"sessions": 3, "fleet": {"x\u00e9": 1}})").find("non-ASCII"),
+            std::string::npos);
 }
 
 TEST(FleetGateTest, ReportDominatesItself) {

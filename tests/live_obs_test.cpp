@@ -15,10 +15,10 @@
 #include "app/session.hpp"
 #include "obs/live/anomaly.hpp"
 #include "obs/live/detectors.hpp"
-#include "obs/live/exposition.hpp"
 #include "obs/live/health.hpp"
 #include "obs/live/live.hpp"
 #include "obs/obs.hpp"
+#include "obs/prom_text.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -26,6 +26,8 @@ namespace {
 using namespace athena;
 using namespace athena::obs::live;
 using namespace std::chrono_literals;
+using obs::prom::SanitizeMetricName;
+using obs::prom::WritePrometheus;
 
 sim::TimePoint At(double ms) { return sim::TimePoint{sim::FromMs(ms)}; }
 
@@ -292,8 +294,7 @@ TEST(LiveEngine, AnomaliesLandInTheEventLog) {
   EXPECT_GE(engine.log().size(), 1u);
   const auto records = engine.log().Ordered();
   ASSERT_FALSE(records.empty());
-  EXPECT_EQ(records.front()->kind, EventLog::Record::Kind::kAnomaly);
-  EXPECT_EQ(records.front()->anomaly.kind, AnomalyKind::kOverGranting);
+  EXPECT_EQ(records.front()->kind, AnomalyKind::kOverGranting);
 }
 
 // ---------------------------------------------------------------------------
@@ -325,33 +326,28 @@ TEST(EventLog, RingOverwritesOldestAndCountsDrops) {
   const auto records = log.Ordered();
   ASSERT_EQ(records.size(), 4u);
   // Oldest-first ordering of the surviving tail (6, 7, 8, 9).
-  EXPECT_EQ(records.front()->t, At(6.0));
-  EXPECT_EQ(records.back()->t, At(9.0));
+  EXPECT_EQ(records.front()->window_end, At(6.0));
+  EXPECT_EQ(records.back()->window_end, At(9.0));
 }
 
-TEST(EventLog, JsonlSinkStreamsEveryPushEvenWhenRingDrops) {
+TEST(EventLog, WriteJsonlWritesTheRetainedAnomaliesOldestFirst) {
   EventLog log{2};
-  std::ostringstream sink;
-  log.set_jsonl_sink(&sink);
   for (int i = 0; i < 5; ++i) {
     log.PushAnomaly(MakeAnomaly(static_cast<double>(i), 0.25));
   }
-  log.PushSpan(obs::Layer::kSim, "sim.run", At(10.0), 10.0);
-  log.PushMetric("queue_depth", At(11.0), 42.0);
+  std::ostringstream os;
+  log.WriteJsonl(os);
 
-  std::istringstream lines{sink.str()};
-  std::string line;
-  int count = 0;
-  while (std::getline(lines, line)) {
-    ++count;
-    EXPECT_FALSE(line.empty());
-    EXPECT_EQ(line.front(), '{');
+  std::istringstream lines{os.str()};
+  std::vector<std::string> got;
+  for (std::string line; std::getline(lines, line);) got.push_back(line);
+  ASSERT_EQ(got.size(), 2u);  // the ring's two survivors, not all five pushes
+  for (const std::string& line : got) {
+    EXPECT_EQ(line.rfind("{\"type\":\"anomaly\"", 0), 0u) << line;
     EXPECT_EQ(line.back(), '}');
   }
-  EXPECT_EQ(count, 7);  // all pushes, not just the 2 the ring kept
-  EXPECT_NE(sink.str().find("\"type\":\"anomaly\""), std::string::npos);
-  EXPECT_NE(sink.str().find("\"type\":\"span\""), std::string::npos);
-  EXPECT_NE(sink.str().find("\"type\":\"metric\""), std::string::npos);
+  EXPECT_NE(got[0].find("\"window_end_us\":3000,"), std::string::npos) << got[0];
+  EXPECT_NE(got[1].find("\"window_end_us\":4000,"), std::string::npos) << got[1];
 }
 
 // ---------------------------------------------------------------------------
@@ -442,7 +438,7 @@ TEST(Exposition, IncludesLiveDetectorState) {
   obs::MetricsRegistry registry;
   LiveEngine engine;
   std::ostringstream os;
-  WritePrometheus(os, registry, &engine);
+  WritePrometheus(os, registry, nullptr, &engine);
   const std::string out = os.str();
   // One series per anomaly kind, plus engine gauges — present even at zero.
   EXPECT_NE(out.find("athena_anomalies_total{kind=\"delay_spread_quantization\","

